@@ -9,7 +9,7 @@
  *
  *   MW_BENCH_FRAMES    measured frames per stream (default 6)
  *   MW_BENCH_SCALE     time-scale compression (default 0.1)
- *   MW_BENCH_JOBS      worker threads (default: hardware threads)
+ *   MW_BENCH_JOBS      worker threads (default: available CPUs)
  *   MW_BENCH_REPS      seed replications per point (default 1)
  *   MW_BENCH_JSON_DIR  if set, write a BENCH_<name>.json campaign
  *                      artifact (schema mediaworm-campaign-v2,
@@ -58,7 +58,7 @@ inline mediaworm::campaign::CampaignConfig
 campaignConfig()
 {
     mediaworm::campaign::CampaignConfig cfg;
-    cfg.jobs = envInt("MW_BENCH_JOBS", 0); // 0 = hardware threads
+    cfg.jobs = envInt("MW_BENCH_JOBS", 0); // 0 = available CPUs
     cfg.replications = envInt("MW_BENCH_REPS", 1);
     cfg.showProgress = true;
     return cfg;

@@ -33,7 +33,7 @@ namespace mediaworm::campaign {
 struct CampaignConfig
 {
     /** Worker threads; 1 runs inline (the classic sequential path),
-     *  0 means one per hardware thread. */
+     *  0 means one per available CPU (sim::availableCpus()). */
     int jobs = 1;
 
     /** Seed replications per point (>= 1). */

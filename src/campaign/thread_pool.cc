@@ -1,5 +1,6 @@
 #include "campaign/thread_pool.hh"
 
+#include "sim/cpus.hh"
 #include "sim/logging.hh"
 
 namespace mediaworm::campaign {
@@ -46,8 +47,7 @@ ThreadPool::wait()
 int
 ThreadPool::hardwareThreads()
 {
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : static_cast<int>(n);
+    return sim::availableCpus();
 }
 
 void

@@ -47,7 +47,7 @@ class ThreadPool
     /** Number of worker threads in the pool. */
     int threads() const { return static_cast<int>(workers_.size()); }
 
-    /** Hardware concurrency, never less than 1. */
+    /** CPUs this process may run on (sim::availableCpus()). */
     static int hardwareThreads();
 
   private:

@@ -43,9 +43,9 @@ struct ShardPlan
  *
  * @param requested_shards Shard count from configuration: >= 1 is
  *        clamped to the router count; 0 asks for the auto heuristic
- *        (one shard per hardware thread, clamped likewise).
- * @param hardware_threads std::thread::hardware_concurrency(), or
- *        any cap the caller wants the heuristic to respect.
+ *        (one shard per available CPU, clamped likewise).
+ * @param hardware_threads sim::availableCpus(), or any cap the
+ *        caller wants the heuristic to respect.
  *
  * A single switch always yields one shard (there is nothing to
  * cut). Every other topology is cut into contiguous blocks of the

@@ -10,7 +10,9 @@
  *
  *  2. PdesExecutor + cross-shard Link mechanics in isolation: a
  *     hand-wired two-shard channel delivers flits and credits at
- *     exactly the ticks the single-kernel link would, in order.
+ *     exactly the ticks the single-kernel link would, in order; and
+ *     the EpochBarrier's min-reduction is exact on every phase, on
+ *     both its spin and its park-only path.
  *
  *  3. The headline determinism contract: for the golden miniature
  *     configurations (the single-switch Fig-3 setup and the 2x2
@@ -20,13 +22,19 @@
  *     single-threaded oracle everywhere.
  */
 
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "core/experiment.hh"
 #include "network/partition.hh"
 #include "router/link.hh"
+#include "sim/cpus.hh"
 #include "sim/pdes.hh"
 #include "sim/simulator.hh"
 
@@ -313,6 +321,89 @@ TEST(PdesExecutor, MailboxArrivalExactlyAtJumpTargetFires)
     // not jumps; the counters must stay quiet for them.
     for (const sim::ShardRunStats& s : executor.stats())
         EXPECT_EQ(s.fastForwardTicks, 0u);
+}
+
+// --- Epoch barrier ---------------------------------------------------------
+
+/** Party @p party's contribution in phase @p phase: a value that moves
+ *  every phase (so a stale reduction is caught), absent now and then,
+ *  and absent for every party on each 100th phase. */
+sim::Tick
+barrierValue(int party, int phase)
+{
+    std::uint64_t h = static_cast<std::uint64_t>(phase) * 0x9e3779b97f4a7c15ULL
+        ^ static_cast<std::uint64_t>(party + 1) * 0xbf58476d1ce4e5b9ULL;
+    h ^= h >> 29;
+    if (phase % 100 == 0 || h % 7 == 0)
+        return sim::kTickNever;
+    return static_cast<sim::Tick>(phase) * 1000
+        + static_cast<sim::Tick>(h % 1000);
+}
+
+/** Runs @p phases double crossings (plain, then reducing) on
+ *  @p parties threads; returns how many reductions any party got
+ *  wrong. */
+int
+barrierMismatches(sim::EpochBarrier& barrier, int parties, int phases)
+{
+    std::vector<int> wrong(static_cast<std::size_t>(parties), 0);
+    auto party = [&](int index) {
+        for (int phase = 0; phase < phases; ++phase) {
+            if (barrier.arriveAndWait(index) != sim::kTickNever)
+                ++wrong[static_cast<std::size_t>(index)];
+            sim::Tick expected = sim::kTickNever;
+            for (int p = 0; p < parties; ++p) {
+                const sim::Tick value = barrierValue(p, phase);
+                if (value != sim::kTickNever
+                    && (expected == sim::kTickNever || value < expected))
+                    expected = value;
+            }
+            if (barrier.arriveAndWait(index, barrierValue(index, phase))
+                != expected)
+                ++wrong[static_cast<std::size_t>(index)];
+        }
+    };
+    std::vector<std::thread> threads;
+    for (int i = 1; i < parties; ++i)
+        threads.emplace_back(party, i);
+    party(0);
+    for (std::thread& thread : threads)
+        thread.join();
+    int total = 0;
+    for (const int w : wrong)
+        total += w;
+    return total;
+}
+
+TEST(PdesBarrier, MinReductionIsExactEveryPhase)
+{
+    for (const int parties : {1, 2, 3, 4, 8}) {
+        sim::EpochBarrier barrier(parties);
+        EXPECT_EQ(barrier.spins(), parties <= sim::availableCpus());
+        EXPECT_EQ(barrierMismatches(barrier, parties, 10000), 0)
+            << parties << " parties";
+    }
+}
+
+TEST(PdesBarrier, ParksAtOnceWhenPartiesExceedCpus)
+{
+    const int cpus = sim::availableCpus();
+    EXPECT_TRUE(sim::EpochBarrier(cpus).spins());
+    sim::EpochBarrier barrier(cpus + 1);
+    EXPECT_FALSE(barrier.spins());
+    EXPECT_EQ(barrierMismatches(barrier, cpus + 1, 2000), 0);
+}
+
+TEST(PdesBarrier, AvailableCpusCountsTheAffinityMask)
+{
+    const int cpus = sim::availableCpus();
+    EXPECT_GE(cpus, 1);
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+    EXPECT_EQ(cpus, CPU_COUNT(&set));
+#endif
 }
 
 // --- Whole-experiment shard invariance -------------------------------------

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Profiles the simulator hot path with Linux perf and prints the
-# hottest symbols, using the `profile` CMake preset (Release
-# optimization + -fno-omit-frame-pointer, so --call-graph fp resolves
-# cheap, accurate stacks through the kernel/router serve loops).
+# Profiles the simulator hot path and prints the hottest symbols,
+# using the `profile` CMake preset (Release optimization +
+# -fno-omit-frame-pointer, so --call-graph fp resolves cheap, accurate
+# stacks through the kernel/router serve loops). Uses Linux perf when
+# it is on PATH and falls back to gprofng (GNU binutils) otherwise.
 #
 # usage: tools/profile_hotpath.sh [bench-binary] [bench-args...]
 #
@@ -18,16 +19,20 @@
 #   tools/profile_hotpath.sh tools/mediaworm_sim \
 #       --loads 0.6 --frames 2 --scale 0.05
 #
-# The perf.data file is left in the profile build tree for
-# interactive drill-down with `perf report`.
+# The perf.data file (or, with gprofng, the hotpath.er experiment) is
+# left in the profile build tree for interactive drill-down.
 
 set -euo pipefail
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 build_dir="$repo_root/build-profile"
 
-if ! command -v perf > /dev/null; then
-    echo "error: linux-perf not installed (perf(1) not on PATH)" >&2
+if command -v perf > /dev/null; then
+    profiler=perf
+elif command -v gprofng > /dev/null; then
+    profiler=gprofng
+else
+    echo "error: neither perf(1) nor gprofng(1) is on PATH" >&2
     exit 1
 fi
 
@@ -53,6 +58,19 @@ if [ ${#args[@]} -eq 0 ] \
        && [[ "$binary" == */bench/micro_kernel ]]; then
     args=(--benchmark_filter='BM_EndToEndExperiment$'
           --benchmark_min_time=2)
+fi
+
+if [ "$profiler" = gprofng ]; then
+    experiment="$build_dir/hotpath.er"
+    gprofng collect app -O "$experiment" "$binary" "${args[@]}"
+
+    echo
+    echo "=== hottest functions (exclusive time) ==="
+    gprofng display text -limit 40 -functions "$experiment"
+    echo
+    echo "experiment: $experiment" \
+         "(drill down with: gprofng display text -functions $experiment)"
+    exit 0
 fi
 
 data="$build_dir/perf.data"

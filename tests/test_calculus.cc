@@ -12,6 +12,8 @@
  */
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -207,6 +209,126 @@ TEST(RouteModel, FatMeshRouteLengthMatchesManhattanDistance)
     EXPECT_EQ(routeOf(router, net, 0, 1).size(), 2u);
     EXPECT_EQ(routeOf(router, net, 0, 7).size(), 3u);
     EXPECT_EQ(routeOf(router, net, 0, 15).size(), 4u);
+}
+
+/**
+ * FNV-1a digest of a configuration's whole route map: for every
+ * (src, dst) pair, routerHops and each contention point's key,
+ * capacity (exact bits) and discipline, in path order.
+ */
+std::uint64_t
+routeMapDigest(const config::RouterConfig& router,
+               const config::NetworkConfig& net)
+{
+    const RouteModel model(router, net);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            h ^= (v >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    const int nodes = net.totalNodes(router.numPorts);
+    for (int src = 0; src < nodes; ++src) {
+        for (int dst = 0; dst < nodes; ++dst) {
+            if (src == dst)
+                continue;
+            mix(static_cast<std::uint64_t>(model.routerHops(src, dst)));
+            for (const ContentionPoint& cp : model.routeOf(src, dst)) {
+                std::uint64_t cap_bits = 0;
+                std::memcpy(&cap_bits, &cp.capacityFlitsPerUs,
+                            sizeof(cap_bits));
+                mix(static_cast<std::uint64_t>(
+                    static_cast<std::int64_t>(cp.key)));
+                mix(cap_bits);
+                mix(static_cast<std::uint64_t>(cp.discipline));
+            }
+        }
+    }
+    return h;
+}
+
+/** The paper's 2x2 fat mesh (fat 2, 4 endpoints) under @p policy. */
+config::NetworkConfig
+fatMeshNet(config::FatLinkPolicy policy)
+{
+    config::NetworkConfig net;
+    net.topology = config::TopologyKind::FatMesh;
+    net.fatLinkPolicy = policy;
+    return net;
+}
+
+/**
+ * Pins the single-switch and fat-mesh route maps: every hop's key,
+ * rate and discipline and every routerHops value, for all pairs and
+ * all three fat-link policies. The spot checks spell out one
+ * diagonal path; the digests cover the rest.
+ */
+TEST(RouteModel, PinnedRoutesOnThePaperShapes)
+{
+    const config::RouterConfig router;
+    const double cap = linkCapacityFlitsPerUs(router);
+
+    const Route single = routeOf(router, config::NetworkConfig{}, 0, 5);
+    ASSERT_EQ(single.size(), 2u);
+    EXPECT_EQ(single[1].key, 5);
+    EXPECT_EQ(routeMapDigest(router, config::NetworkConfig{}),
+              0x0a1fa869a6f3fb65ULL);
+
+    // 0 -> 15 crosses switch 0 East (ports 4-5), switch 1 South
+    // (ports 6-7), then ejects at switch 3 port 3.
+    struct Case
+    {
+        config::FatLinkPolicy policy;
+        int eastKey, southKey;
+        double fatCap;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {config::FatLinkPolicy::LeastLoaded, 4, 4096 + 6, 2 * cap,
+         0xe38d2a6a22c812c5ULL},
+        {config::FatLinkPolicy::Static, 5, 4096 + 7, cap,
+         0x1556551e579058e5ULL},
+        {config::FatLinkPolicy::Random, 4, 4096 + 6, 2 * cap,
+         0xe38d2a6a22c812c5ULL},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(config::toString(c.policy));
+        const config::NetworkConfig net = fatMeshNet(c.policy);
+        const Route r = routeOf(router, net, 0, 15);
+        ASSERT_EQ(r.size(), 4u);
+        EXPECT_EQ(r[0].key, -1);
+        EXPECT_EQ(r[1].key, c.eastKey);
+        EXPECT_EQ(r[2].key, c.southKey);
+        EXPECT_EQ(r[3].key, 3 * 4096 + 3);
+        EXPECT_DOUBLE_EQ(r[1].capacityFlitsPerUs, c.fatCap);
+        EXPECT_DOUBLE_EQ(r[2].capacityFlitsPerUs, c.fatCap);
+        EXPECT_DOUBLE_EQ(r[3].capacityFlitsPerUs, cap);
+        EXPECT_EQ(r[1].discipline, router.scheduler);
+        EXPECT_EQ(routerHops(net, 0, 15), 3);
+        EXPECT_EQ(routeMapDigest(router, net), c.digest);
+    }
+
+    // A 3x3 fat mesh with 2 endpoints per switch needs 10 ports at
+    // the centre switch; every policy again.
+    config::RouterConfig wide = router;
+    wide.numPorts = 10;
+    const std::uint64_t wide_digests[] = {0x0bb872cabadac3d5ULL,
+                                          0x576bc5f09ec842b5ULL,
+                                          0x0bb872cabadac3d5ULL};
+    int i = 0;
+    for (const config::FatLinkPolicy policy :
+         {config::FatLinkPolicy::LeastLoaded,
+          config::FatLinkPolicy::Static,
+          config::FatLinkPolicy::Random}) {
+        config::NetworkConfig net = fatMeshNet(policy);
+        net.meshWidth = 3;
+        net.meshHeight = 3;
+        net.endpointsPerSwitch = 2;
+        net.validate(wide.numPorts);
+        EXPECT_EQ(routeMapDigest(wide, net), wide_digests[i++])
+            << config::toString(policy);
+    }
 }
 
 // --------------------------------------------------------------

@@ -140,6 +140,14 @@ constexpr std::uint64_t kGolden4 = 0x245d70a718778ae6ULL;
 constexpr std::uint64_t kGolden5 = 0x5259e430404b1f03ULL;
 constexpr std::uint64_t kGolden6 = 0x6b7fa99fc7d0012fULL;
 
+/**
+ * G3 under the other two fat-link policies: the static pick
+ * (first + dest % fat) and the Random draw order (one draw per
+ * multi-candidate header from each switch's own split stream).
+ */
+constexpr std::uint64_t kGolden3Static = 0xc77a5bda020a8cecULL;
+constexpr std::uint64_t kGolden3Random = 0x30819f21c6051be9ULL;
+
 void
 expectIdentical(const ExperimentResult& a, const ExperimentResult& b)
 {
@@ -246,6 +254,26 @@ TEST(Determinism, MatchesGoldenFatMesh)
     std::printf("G3 digest=0x%016llx\n",
                 static_cast<unsigned long long>(r.deterministicHash()));
     EXPECT_EQ(r.deterministicHash(), kGolden3);
+}
+
+TEST(Determinism, MatchesGoldenFatMeshStatic)
+{
+    ExperimentConfig cfg = goldenConfig3();
+    cfg.network.fatLinkPolicy = config::FatLinkPolicy::Static;
+    const ExperimentResult r = runExperiment(cfg);
+    std::printf("G3-static digest=0x%016llx\n",
+                static_cast<unsigned long long>(r.deterministicHash()));
+    EXPECT_EQ(r.deterministicHash(), kGolden3Static);
+}
+
+TEST(Determinism, MatchesGoldenFatMeshRandom)
+{
+    ExperimentConfig cfg = goldenConfig3();
+    cfg.network.fatLinkPolicy = config::FatLinkPolicy::Random;
+    const ExperimentResult r = runExperiment(cfg);
+    std::printf("G3-random digest=0x%016llx\n",
+                static_cast<unsigned long long>(r.deterministicHash()));
+    EXPECT_EQ(r.deterministicHash(), kGolden3Random);
 }
 
 TEST(Determinism, MatchesGoldenMesh)

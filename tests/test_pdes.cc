@@ -568,6 +568,16 @@ TEST(PdesDeterminism, AdaptiveTorusHashIsShardInvariant)
     expectShardInvariant(cfg);
 }
 
+TEST(PdesDeterminism, RandomFatLinkHashIsShardInvariant)
+{
+    // The Random fat-link policy draws at route time; each switch
+    // owns its own split stream, so the draws stay shard-local and
+    // the digest must not depend on the shard count.
+    ExperimentConfig cfg = fig9Miniature();
+    cfg.network.fatLinkPolicy = config::FatLinkPolicy::Random;
+    expectShardInvariant(cfg);
+}
+
 TEST(PdesDeterminism, AutoShardCountIsAlsoInvariant)
 {
     ExperimentConfig cfg = fig9Miniature();

@@ -4,7 +4,7 @@
  *
  * The paper routes over "any one of the two links ... based on the
  * current load". This sweep compares that least-loaded choice with
- * a static (hash) assignment and a random pick.
+ * a static assignment (link dest % fat) and a random pick.
  */
 
 #include "bench_common.hh"

@@ -44,20 +44,23 @@ ringDistance(int a, int b, int k)
     return std::min(fwd, k - fwd);
 }
 
-/** True when the policy routes over graph-built tables. */
-bool
-tableDriven(const config::NetworkConfig& net)
+/** The graph Network builds: the single switch is sized by the
+ *  router's port count. */
+network::Topology
+topologyOf(const config::RouterConfig& router,
+           config::NetworkConfig net)
 {
-    switch (net.topology) {
-      case config::TopologyKind::SingleSwitch:
-      case config::TopologyKind::FatMesh:
-        return false;
-      case config::TopologyKind::Mesh:
-      case config::TopologyKind::Torus:
-      case config::TopologyKind::Clos:
-        return true;
-    }
-    return false;
+    net.singleSwitchPorts = router.numPorts;
+    return network::Topology::build(net);
+}
+
+/** Router at the far end of output @p port of @p router. */
+int
+nextRouter(const network::Topology& topo, int router, int port)
+{
+    const int chan = topo.outChannelAt(router, port);
+    MW_ASSERT(chan >= 0);
+    return topo.channels()[static_cast<std::size_t>(chan)].dstRouter;
 }
 
 } // namespace
@@ -70,22 +73,13 @@ linkCapacityFlitsPerUs(const config::RouterConfig& router)
 
 RouteModel::RouteModel(const config::RouterConfig& router,
                        const config::NetworkConfig& net)
-    : router_(router), net_(net)
+    : router_(router), net_(net), topo_(topologyOf(router, net)),
+      tables_(network::buildRouting(topo_, net.effectiveRouting(),
+                                    net.fatLinkPolicy)),
+      // Adaptive paths depend on run-time load; no static route to
+      // analyse. (Hop counts stay closed-form: minimal routing.)
+      analyzable_(!tables_.adaptive)
 {
-    if (!tableDriven(net_))
-        return;
-    const config::RoutingKind kind = net_.effectiveRouting();
-    if (kind == config::RoutingKind::Adaptive) {
-        // Adaptive paths depend on run-time load; no static route to
-        // analyse. (Hop counts stay closed-form: minimal routing.)
-        analyzable_ = false;
-        topo_.emplace(network::Topology::build(net_));
-        vcClasses_ = network::buildRouting(*topo_, kind).vcClasses;
-        return;
-    }
-    topo_.emplace(network::Topology::build(net_));
-    tables_ = network::buildRouting(*topo_, kind);
-    vcClasses_ = tables_.vcClasses;
 }
 
 int
@@ -109,8 +103,7 @@ RouteModel::routerHops(int src, int dst) const
                 + ringDistance(sy, dy, net_.meshHeight);
         }
         int hops = 1 + std::abs(sx - dx) + std::abs(sy - dy);
-        if (tableDriven(net_)
-            && net_.effectiveRouting() == config::RoutingKind::UpDown
+        if (net_.effectiveRouting() == config::RoutingKind::UpDown
             && ss != ds) {
             // Tree routes are not minimal; count the walked path.
             hops = static_cast<int>(routeOf(src, dst).size()) - 1;
@@ -127,143 +120,62 @@ Route
 RouteModel::routeOf(int src, int dst) const
 {
     MW_ASSERT(src != dst);
-    if (!tableDriven(net_))
-        return legacyRouteOf(src, dst);
     MW_ASSERT(analyzable_);
 
     const double cap = linkCapacityFlitsPerUs(router_);
     const double hop_latency = routerHopLatencyUs(router_);
-    const network::Topology& topo = *topo_;
 
     Route route;
+    // Injection multiplexer: the source end of the injection link.
     route.push_back({-(src + 1), cap, router_.injectionScheduler,
                      static_cast<double>(router_.linkDelayCycles)
                          * cycleUs(router_)});
 
-    int cur = topo.routerOfNode(src);
-    const int dest_r = topo.routerOfNode(dst);
+    int cur = topo_.routerOfNode(src);
+    const int dest_r = topo_.routerOfNode(dst);
     int guard = 0;
     while (cur != dest_r) {
         const router::RouteCandidates& rc =
             tables_.perRouter[static_cast<std::size_t>(cur)]
                              [static_cast<std::size_t>(dst)];
         MW_ASSERT(rc.count >= 1);
-        const int chan = topo.outChannelAt(cur, rc.ports[0]);
-        MW_ASSERT(chan >= 0);
-        const int next =
-            topo.channels()[static_cast<std::size_t>(chan)].dstRouter;
-        if (rc.count > 1) {
-            // Clos up-phase: the least-loaded pick spreads a flow
-            // over all m spines - one aggregate server of m x rate,
-            // and the same for the symmetric spine->leaf down
-            // bundle (keyed by the first spine's down port, shared
-            // by every flow into that leaf).
-            MW_ASSERT(topo.kind() == config::TopologyKind::Clos);
-            const double bundle =
-                cap * static_cast<double>(rc.count);
-            route.push_back({outputKey(cur, rc.ports[0]), bundle,
+        // A multi-candidate entry spreads a flow over all its
+        // candidates (least-loaded or random pick): one aggregate
+        // server of count x rate, keyed by the first candidate.
+        const double rate = cap * static_cast<double>(rc.count);
+        route.push_back({outputKey(cur, rc.ports[0]), rate,
+                         router_.scheduler, hop_latency});
+        const int next = nextRouter(topo_, cur, rc.ports[0]);
+        bool parallel = true;
+        for (int i = 1; i < rc.count; ++i) {
+            parallel = parallel
+                && nextRouter(topo_, cur,
+                              rc.ports[static_cast<std::size_t>(i)])
+                    == next;
+        }
+        if (!parallel) {
+            // Up-phase over distinct spines (the Clos): the
+            // symmetric spine->leaf down links form the same bundle,
+            // keyed by the first spine's down port, which every flow
+            // into that leaf shares.
+            const router::RouteCandidates& down =
+                tables_.perRouter[static_cast<std::size_t>(next)]
+                                 [static_cast<std::size_t>(dst)];
+            MW_ASSERT(nextRouter(topo_, next, down.ports[0]) == dest_r);
+            route.push_back({outputKey(next, down.ports[0]), rate,
                              router_.scheduler, hop_latency});
-            route.push_back({outputKey(next, dest_r), bundle,
-                             router_.scheduler, hop_latency});
-            cur = dest_r;
             break;
         }
-        route.push_back({outputKey(cur, rc.ports[0]), cap,
-                         router_.scheduler, hop_latency});
         cur = next;
-        MW_ASSERT(++guard <= topo.numRouters());
+        MW_ASSERT(++guard <= topo_.numRouters());
     }
 
     // Ejection: the destination router's endpoint port.
     route.push_back(
         {outputKey(dest_r,
-                   topo.endpoints()[static_cast<std::size_t>(dst)]
+                   topo_.endpoints()[static_cast<std::size_t>(dst)]
                        .port),
          cap, router_.scheduler, hop_latency});
-    return route;
-}
-
-Route
-RouteModel::legacyRouteOf(int src, int dst) const
-{
-    const config::RouterConfig& router = router_;
-    const config::NetworkConfig& net = net_;
-    const double cap = linkCapacityFlitsPerUs(router);
-    const double hop_latency = routerHopLatencyUs(router);
-
-    Route route;
-    // Injection multiplexer: the source end of the injection link.
-    route.push_back({-(src + 1), cap, router.injectionScheduler,
-                     static_cast<double>(router.linkDelayCycles)
-                         * cycleUs(router)});
-
-    if (net.topology == config::TopologyKind::SingleSwitch) {
-        // One router; the ejection port is the destination's port.
-        route.push_back(
-            {outputKey(0, dst), cap, router.scheduler, hop_latency});
-        return route;
-    }
-
-    // Fat mesh: deterministic XY, X moves first (buildFatMesh()).
-    const int eps = net.endpointsPerSwitch;
-    const int width = net.meshWidth;
-    const int height = net.meshHeight;
-    const int fat = net.fatFactor;
-    const int dest_switch = dst / eps;
-    int cur = src / eps;
-
-    // Port map mirror of Topology::fatMesh(): endpoint ports first,
-    // then fat channels per present direction in East/West/South/
-    // North order.
-    auto dir_base = [&](int s, int dir) {
-        const int x = s % width;
-        const int y = s / width;
-        int next = eps;
-        const bool present[4] = {x < width - 1, x > 0, y < height - 1,
-                                 y > 0};
-        for (int d = 0; d < 4; ++d) {
-            if (d == dir) {
-                MW_ASSERT(present[d]);
-                return next;
-            }
-            if (present[d])
-                next += fat;
-        }
-        sim::panic("routeOf: direction %d absent at switch %d", dir, s);
-    };
-
-    while (cur != dest_switch) {
-        const int x = cur % width;
-        const int y = cur / width;
-        const int dx = dest_switch % width;
-        const int dy = dest_switch / width;
-        int dir;   // 0=E 1=W 2=S 3=N, as in Network::Direction.
-        int step;  // Switch-index delta.
-        if (dx != x) {
-            dir = dx > x ? 0 : 1;
-            step = dx > x ? 1 : -1;
-        } else {
-            dir = dy > y ? 2 : 3;
-            step = dy > y ? width : -width;
-        }
-        const int base = dir_base(cur, dir);
-        if (net.fatLinkPolicy == config::FatLinkPolicy::Static) {
-            // The simulator picks port base + dst % fat per header.
-            route.push_back({outputKey(cur, base + dst % fat), cap,
-                             router.scheduler, hop_latency});
-        } else {
-            // Least-loaded / random spread over the parallel links:
-            // model the fat channel as one server of fat x rate.
-            route.push_back({outputKey(cur, base),
-                             cap * static_cast<double>(fat),
-                             router.scheduler, hop_latency});
-        }
-        cur += step;
-    }
-
-    // Ejection: the destination switch's endpoint port.
-    route.push_back({outputKey(cur, dst % eps), cap, router.scheduler,
-                     hop_latency});
     return route;
 }
 

@@ -12,13 +12,13 @@
  *    destination router's output port, and the NI sink drains at link
  *    rate, so ejection adds no further contention point.
  *
- * For the fat mesh the model reproduces buildFatMesh()'s deterministic
- * XY routing (X moves first, then Y) and treats a fat channel under
- * the least-loaded or random policies as one aggregate server of
- * fat x link rate (the policies spread a stream's messages across the
- * parallel links); under the static policy each parallel link is its
- * own single-rate server keyed by destination hash, matching the
- * simulator's port choice.
+ * The path comes from the same route tables the simulator's routers
+ * index (network::buildRouting), for every topology. A fat channel
+ * under the least-loaded or random policies is a multi-candidate
+ * entry whose links all reach the same next router: one aggregate
+ * server of fat x link rate (the policies spread a stream's messages
+ * across the parallel links). Under the static policy the entry
+ * names the one link dest % fat, a single-rate server of its own.
  *
  * Each contention point carries a stable identity key so the oracle
  * can intersect routes: two streams interfere at a point iff their
@@ -28,7 +28,6 @@
 #ifndef MEDIAWORM_CALCULUS_ROUTE_MODEL_HH
 #define MEDIAWORM_CALCULUS_ROUTE_MODEL_HH
 
-#include <optional>
 #include <vector>
 
 #include "config/network_config.hh"
@@ -45,13 +44,13 @@ struct ContentionPoint
      * Stable identity for interference matching. Injection points
      * use -(node + 1); router output points use
      * switchIndex * 4096 + outputPortKey, where outputPortKey is the
-     * concrete port (endpoint and static-policy fat links) or the fat
-     * channel's first port (aggregated fat channels).
+     * concrete port (single-candidate entries) or the bundle's first
+     * candidate port (aggregated bundles).
      */
     int key = 0;
 
-    /** Server capacity in flits/us (fat x link rate for aggregated
-     *  fat channels). */
+    /** Server capacity in flits/us (count x link rate for
+     *  aggregated bundles). */
     double capacityFlitsPerUs = 0.0;
 
     /** Scheduling discipline arbitrating the point. */
@@ -68,15 +67,19 @@ using Route = std::vector<ContentionPoint>;
 /**
  * Precomputed route model for one (router, network) configuration.
  *
- * The single switch and the fat mesh keep their closed-form paths;
- * mesh/torus/Clos build the topology graph and the deterministic
- * routing tables once (network/routing.hh) and walk them per
- * stream, so the model analyses exactly the paths the simulator
- * routes. Multi-candidate hops (the Clos up-phase under up-down
- * routing) become one aggregate server of count x link rate, with
- * the symmetric spine->leaf down-phase bundled the same way -
- * every flow into a leaf shares the bundle's key, so interference
- * matching stays exact at bundle granularity.
+ * Builds the topology graph and the routing tables once
+ * (network/routing.hh) and walks them per stream, so the model
+ * analyses exactly the paths the simulator routes. A multi-candidate
+ * entry becomes one aggregate server of count x link rate keyed by
+ * its first candidate port:
+ *
+ *  - when every candidate reaches the same next router (a fat
+ *    channel), the walk continues there;
+ *  - otherwise (the Clos up-phase under up-down routing) the
+ *    symmetric spine->leaf down-phase is bundled the same way and
+ *    the walk ends at the destination leaf - every flow into a leaf
+ *    shares the bundle's key, so interference matching stays exact
+ *    at bundle granularity.
  *
  * Adaptive routing has no static path: analyzable() returns false
  * and the oracle reports every stream unbounded instead of walking.
@@ -91,7 +94,7 @@ class RouteModel
     bool analyzable() const { return analyzable_; }
 
     /** VC classes of the active policy (RouterConfig::vcClasses). */
-    int vcClasses() const { return vcClasses_; }
+    int vcClasses() const { return tables_.vcClasses; }
 
     /** The (src, dst) stream's ordered contention points. Requires
      *  analyzable(). */
@@ -102,15 +105,11 @@ class RouteModel
     int routerHops(int src, int dst) const;
 
   private:
-    Route legacyRouteOf(int src, int dst) const;
-
     config::RouterConfig router_;
     config::NetworkConfig net_;
-    bool analyzable_ = true;
-    int vcClasses_ = 1;
-    /** Graph + tables, built for mesh/torus/Clos only. */
-    std::optional<network::Topology> topo_;
+    network::Topology topo_;
     network::RoutingTables tables_;
+    bool analyzable_;
 };
 
 /**

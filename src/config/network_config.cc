@@ -89,21 +89,15 @@ NetworkConfig::numRouters() const
 RoutingKind
 NetworkConfig::effectiveRouting() const
 {
+    // Every policy is the identity on one switch, and validate()
+    // admits only the paper's XY on the fat mesh.
+    if (topology == TopologyKind::SingleSwitch
+        || topology == TopologyKind::FatMesh)
+        return RoutingKind::DimensionOrder;
     if (routing != RoutingKind::Default)
         return routing;
-    switch (topology) {
-      case TopologyKind::SingleSwitch:
-      case TopologyKind::FatMesh:
-        // Legacy shapes keep their built-in routing (identity / the
-        // paper's XY with fat-link selection).
-        return RoutingKind::Default;
-      case TopologyKind::Mesh:
-      case TopologyKind::Torus:
-        return RoutingKind::DimensionOrder;
-      case TopologyKind::Clos:
-        return RoutingKind::UpDown;
-    }
-    return RoutingKind::Default;
+    return topology == TopologyKind::Clos ? RoutingKind::UpDown
+                                          : RoutingKind::DimensionOrder;
 }
 
 void
@@ -142,6 +136,10 @@ NetworkConfig::validate(int router_ports) const
         fatal("NetworkConfig: a mesh needs at least 2 switches");
     if (fatFactor < 1)
         fatal("NetworkConfig: fatFactor must be >= 1");
+    if (topology == TopologyKind::FatMesh && fatFactor > 4)
+        fatal("NetworkConfig: fatFactor %d exceeds the 4-candidate "
+              "route limit",
+              fatFactor);
     if (endpointsPerSwitch < 1)
         fatal("NetworkConfig: endpointsPerSwitch must be >= 1");
     if (topology == TopologyKind::FatMesh

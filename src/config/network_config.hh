@@ -22,15 +22,17 @@ enum class TopologyKind {
 /** Policy used to pick among the parallel links of a fat channel. */
 enum class FatLinkPolicy {
     LeastLoaded, ///< Fewest queued flits right now (the paper's choice).
-    Static,      ///< Hash of the stream id (no load awareness).
+    Static,      ///< Link dest % fat of the channel (no load awareness).
     Random,      ///< Uniform random per message.
 };
 
 /**
  * Routing policy over the topology graph (network/routing.hh).
- * Default resolves per topology: identity for the single switch,
- * the paper's XY + fat-link policy for the fat mesh, dimension-order
- * for mesh/torus, up-down (Clos natural routing) for the Clos.
+ * Default resolves per topology (NetworkConfig::effectiveRouting):
+ * dimension-order for the single switch (where every policy is the
+ * identity), the fat mesh (the paper's XY, fat channels picked by
+ * the fat-link policy), mesh and torus; up-down (Clos natural
+ * routing) for the Clos.
  */
 enum class RoutingKind {
     Default,
@@ -90,7 +92,8 @@ struct NetworkConfig
     /** Routers in the configured topology. */
     int numRouters() const;
 
-    /** The routing kind Default resolves to for this topology. */
+    /** The concrete routing kind (never Default) for this
+     *  topology: every consumer below the config layer takes this. */
     RoutingKind effectiveRouting() const;
 
     /** Aborts via fatal() if the shape is inconsistent. */

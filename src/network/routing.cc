@@ -100,20 +100,23 @@ nextHopUpDown(const std::vector<int>& parents, int s, int target)
     return chain[at - 1]; // Down phase: the child towards the target.
 }
 
-/** Identity tables for the single switch: node p sits on port p. */
-RoutingTables
-identityRouting(const Topology& topo)
+/**
+ * Candidates of one fat channel: @p fat parallel links from port
+ * @p first, picked by @p policy for destination node @p dest.
+ */
+RouteCandidates
+fatChannel(int first, int fat, int dest, config::FatLinkPolicy policy)
 {
-    RoutingTables out;
-    out.perRouter.resize(1);
-    out.perRouter[0].resize(
-        static_cast<std::size_t>(topo.numNodes()));
-    for (int d = 0; d < topo.numNodes(); ++d) {
-        out.perRouter[0][static_cast<std::size_t>(d)] =
-            RouteCandidates::single(
-                topo.endpoints()[static_cast<std::size_t>(d)].port);
-    }
-    return out;
+    if (policy == config::FatLinkPolicy::Static)
+        return RouteCandidates::single(first + dest % fat);
+    MW_ASSERT(fat <= static_cast<int>(RouteCandidates{}.ports.size()));
+    RouteCandidates rc;
+    rc.count = fat;
+    for (int k = 0; k < fat; ++k)
+        rc.ports[static_cast<std::size_t>(k)] = first + k;
+    if (policy == config::FatLinkPolicy::Random)
+        rc.select = RouteCandidates::Select::Random;
+    return rc;
 }
 
 } // namespace
@@ -142,13 +145,11 @@ bfsTreeParents(const Topology& topo)
 }
 
 RoutingTables
-buildRouting(const Topology& topo, config::RoutingKind kind)
+buildRouting(const Topology& topo, config::RoutingKind kind,
+             config::FatLinkPolicy fat_policy)
 {
     using config::RoutingKind;
     using config::TopologyKind;
-
-    if (topo.kind() == TopologyKind::SingleSwitch)
-        return identityRouting(topo);
 
     MW_ASSERT(kind != RoutingKind::Default);
     const int num_routers = topo.numRouters();
@@ -161,6 +162,7 @@ buildRouting(const Topology& topo, config::RoutingKind kind)
 
     const bool is_clos = topo.kind() == TopologyKind::Clos;
     const bool is_torus = topo.kind() == TopologyKind::Torus;
+    const bool is_fat = topo.kind() == TopologyKind::FatMesh;
     const int width = topo.meshWidth;
     const int height = topo.meshHeight;
 
@@ -243,8 +245,15 @@ buildRouting(const Topology& topo, config::RoutingKind kind)
                 const GridStep step = is_torus
                     ? torusStep(width, height, x, y, tx, ty)
                     : meshStep(x, y, tx, ty);
-                rc = RouteCandidates::single(
-                    topo.dirPort(s, step.dir), step.vcClass);
+                const int first = topo.dirPort(s, step.dir);
+                if (is_fat) {
+                    rc = fatChannel(first, topo.fatFactor, d,
+                                    fat_policy);
+                    out.random |= rc.select
+                        == RouteCandidates::Select::Random;
+                } else {
+                    rc = RouteCandidates::single(first, step.vcClass);
+                }
                 break;
               }
               case RoutingKind::UpDown: {

@@ -5,13 +5,19 @@
  * deadlock-free, and exposes the channel-dependency graph (CDG) the
  * deadlock-freedom tests check.
  *
+ * Every topology routes through these tables, the single switch
+ * (where each entry is the ejection port) and the paper's fat mesh
+ * included.
+ *
  * Policies
- *  - DimensionOrder: deterministic XY on meshes; on tori the
- *    shortest way around each ring with two dateline VC classes
- *    (class 0 while the remaining ring path still crosses the wrap
- *    channel, class 1 after), which orders every ring's channels
- *    acyclically; on the Clos it degenerates to a deterministic
- *    single-up path (spine = dest leaf mod m).
+ *  - DimensionOrder: deterministic XY on meshes; on the fat mesh each
+ *    fat channel's candidates follow the fat-link policy (all links
+ *    with a least-loaded or random pick, or the one link dest % fat);
+ *    on tori the shortest way around each ring with two dateline VC
+ *    classes (class 0 while the remaining ring path still crosses
+ *    the wrap channel, class 1 after), which orders every ring's
+ *    channels acyclically; on the Clos it degenerates to a
+ *    deterministic single-up path (spine = dest leaf mod m).
  *  - UpDown: on the Clos, the natural multi-up routing (all spines
  *    are candidates, least-loaded pick, then the single down link);
  *    on meshes/tori, classic up-down routing over a BFS spanning tree
@@ -53,18 +59,25 @@ struct RoutingTables
     /** True when any entry uses Select::AdaptiveEscape. */
     bool adaptive = false;
 
+    /** True when any entry uses Select::Random: every router then
+     *  needs its own random stream. */
+    bool random = false;
+
     /** perRouter[r][dest_node] = candidates at router r. */
     std::vector<router::RouteTable> perRouter;
 };
 
 /**
- * Builds route tables for @p kind over @p topo. @p kind must be a
- * concrete policy (not Default; resolve with
- * NetworkConfig::effectiveRouting() first) except for SingleSwitch,
- * where every policy is the identity.
+ * Builds route tables for @p kind over @p topo, for every topology
+ * kind. @p kind must be concrete (not Default; resolve with
+ * NetworkConfig::effectiveRouting() first). @p fat_policy picks the
+ * candidates of the fat mesh's fat channels and is ignored on every
+ * other shape.
  */
 RoutingTables buildRouting(const Topology& topo,
-                           config::RoutingKind kind);
+                           config::RoutingKind kind,
+                           config::FatLinkPolicy fat_policy =
+                               config::FatLinkPolicy::LeastLoaded);
 
 /**
  * BFS spanning tree over the topology's channels, rooted at router

@@ -6,9 +6,10 @@
  * A Topology is a list of routers, a node -> (router, port) endpoint
  * map, and an ordered connect-pair table of directed inter-router
  * channels. network::Network walks these tables to instantiate
- * routers, links and NIs; network::buildRouting derives route tables
- * from the same graph; tests check graph-level properties
- * (connectivity, degree, symmetry) without building a simulation.
+ * routers, links and NIs; network::buildRouting derives every
+ * shape's route tables from the same graph; tests check graph-level
+ * properties (connectivity, degree, symmetry) without building a
+ * simulation.
  *
  * Builders cover the paper's two shapes (single switch, fat mesh)
  * plus k-ary 2-meshes, 2-D tori and 3-stage folded Clos networks,
@@ -58,7 +59,8 @@ class Topology
      * parallel links between adjacent switches and @p eps endpoints
      * per switch. Port map per switch: endpoint ports first, then
      * fat channels per present direction in East/West/South/North
-     * order (the historical buildFatMesh() layout).
+     * order, link k of a direction on port dirPort(s, dir) + k (the
+     * layout the fat-mesh goldens were captured on).
      */
     static Topology fatMesh(int width, int height, int fat, int eps);
 

@@ -28,7 +28,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +40,7 @@
 #include "router/ring.hh"
 #include "router/virtual_clock.hh"
 #include "sim/event.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "sim/tracer.hh"
 #include "stats/registry.hh"
@@ -48,8 +48,8 @@
 namespace mediaworm::router {
 
 /**
- * Output-port candidates for one destination, as produced by a
- * routing function or the routing-policy layer (network/routing.hh).
+ * Output-port candidates for one destination, as produced by the
+ * routing-policy layer (network/routing.hh).
  *
  * Each candidate pairs an output port with a VC class. Class -1 is
  * the legacy mapping (output VC = the header's vcLane verbatim);
@@ -73,6 +73,9 @@ struct RouteCandidates
          * Allocation waits therefore only ever happen on escape VCs.
          */
         AdaptiveEscape,
+        /** Uniform random pick, one draw from the router's route
+         *  stream per header (the Random fat-link policy). */
+        Random,
     };
 
     std::array<int, 4> ports{};
@@ -92,14 +95,11 @@ struct RouteCandidates
     }
 };
 
-/** Maps a destination endpoint to candidate output ports. */
-using RouteFunction = std::function<RouteCandidates(sim::NodeId dest)>;
-
 /**
- * Precomputed destination -> candidate-ports table, indexed by node
- * id. The fast path for static topologies (single switch, XY-routed
- * fat mesh): header routing becomes one array load instead of a
- * std::function call per header flit.
+ * Destination -> candidate-ports table, indexed by node id, built by
+ * the routing-policy layer for every topology: header routing is one
+ * array load. Load- or random-dependent picks among an entry's
+ * candidates happen at route time (RouteCandidates::Select).
  */
 using RouteTable = std::vector<RouteCandidates>;
 
@@ -146,17 +146,14 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     void connectOutputLink(int port, Link& link,
                            int downstream_buffer_depth);
 
-    /** Installs the routing function. Must be set before traffic. */
-    void setRouteFunction(RouteFunction fn);
-
     /**
-     * Installs a precomputed route table covering every destination
-     * node id; headers then route with one array load. The
-     * functional form (setRouteFunction) remains the fallback for
-     * destinations outside the table and for load- or random-
-     * dependent policies that cannot be tabulated.
+     * Installs the route table, which must cover every destination
+     * node id. Must be set before traffic.
      */
     void setRouteTable(RouteTable table);
+
+    /** Installs the stream Select::Random entries draw from. */
+    void setRouteRng(sim::Rng rng) { routeRng_ = rng; }
 
     /** Hardware configuration. */
     const config::RouterConfig& cfg() const { return cfg_; }
@@ -550,8 +547,8 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
     std::string name_;
     sim::Tick cycleTime_;
 
-    RouteFunction routeFn_;
-    RouteTable routeTable_; ///< Fast path; empty when not tabulable.
+    RouteTable routeTable_;
+    sim::Rng routeRng_; ///< Draws for Select::Random entries only.
 
     // Fixed arrays: ports embed events and cannot be moved.
     std::unique_ptr<InputPort[]> inputs_;

@@ -190,6 +190,20 @@ TEST(NetworkConfigDeath, RejectsPortOverflow)
     EXPECT_EXIT(cfg.validate(8), testing::ExitedWithCode(1), "port");
 }
 
+TEST(NetworkConfigDeath, RejectsFatChannelWiderThanARoute)
+{
+    // A fat channel's links are the candidates of one route entry,
+    // which holds at most four.
+    NetworkConfig cfg;
+    cfg.topology = TopologyKind::FatMesh;
+    cfg.meshWidth = 2;
+    cfg.meshHeight = 1;
+    cfg.fatFactor = 5;
+    cfg.endpointsPerSwitch = 1;
+    EXPECT_EXIT(cfg.validate(64), testing::ExitedWithCode(1),
+                "4-candidate");
+}
+
 TEST(NetworkConfigDeath, RejectsSingleSwitchMesh)
 {
     NetworkConfig cfg;

@@ -7,7 +7,6 @@
  */
 
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "config/router_config.hh"
 #include "router/link.hh"
 #include "router/wormhole_router.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 
 namespace {
@@ -83,11 +83,11 @@ class RouterTest : public testing::Test
         cfg.scheduler = scheduler;
         router = std::make_unique<WormholeRouter>(simulator, cfg,
                                                   "dut");
-        router->setRouteFunction([this](NodeId dest) {
-            if (routeOverride)
-                return routeOverride(dest);
-            return RouteCandidates::single(dest.value());
-        });
+        // Destination d < kPorts leaves through port d.
+        routes.clear();
+        for (int p = 0; p < kPorts; ++p)
+            routes.push_back(RouteCandidates::single(p));
+        router->setRouteTable(routes);
         for (int p = 0; p < kPorts; ++p) {
             inLinks.push_back(std::make_unique<Link>(
                 simulator, cfg.cycleTime(), "in"));
@@ -122,6 +122,16 @@ class RouterTest : public testing::Test
         }
     }
 
+    /** Routes destination @p dest through @p rc from now on. */
+    void
+    route(int dest, const RouteCandidates& rc)
+    {
+        if (routes.size() <= static_cast<std::size_t>(dest))
+            routes.resize(static_cast<std::size_t>(dest) + 1);
+        routes[static_cast<std::size_t>(dest)] = rc;
+        router->setRouteTable(routes);
+    }
+
     /** Tail-arrival time of @p stream at @p port; -1 if missing. */
     Tick
     tailTime(int port, int stream) const
@@ -142,7 +152,7 @@ class RouterTest : public testing::Test
     std::vector<std::unique_ptr<Link>> outLinks;
     Sink sinks[kPorts];
     CreditSink creditSinks[kPorts];
-    std::function<RouteCandidates(NodeId)> routeOverride;
+    RouteTable routes;
 };
 
 TEST_F(RouterTest, DeliversSingleMessageInOrder)
@@ -280,15 +290,10 @@ TEST_F(RouterTest, FatChannelPicksLeastLoadedCandidate)
     build(config::CrossbarKind::Multiplexed,
           config::SchedulerKind::VirtualClock, /*sink_depth=*/2);
     // Destination 9 may leave through port 1 or port 2.
-    routeOverride = [](NodeId dest) {
-        if (dest.value() == 9) {
-            RouteCandidates rc;
-            rc.ports = {1, 2, 0, 0};
-            rc.count = 2;
-            return rc;
-        }
-        return RouteCandidates::single(dest.value());
-    };
+    RouteCandidates rc;
+    rc.ports = {1, 2, 0, 0};
+    rc.count = 2;
+    route(9, rc);
 
     // First message ties break towards port 1; the tiny sink depth
     // keeps its flits queued there so the second header sees port 1
@@ -304,6 +309,68 @@ TEST_F(RouterTest, FatChannelPicksLeastLoadedCandidate)
         EXPECT_EQ(arrival.flit.stream, StreamId(100));
     for (const auto& arrival : sinks[2].arrivals)
         EXPECT_EQ(arrival.flit.stream, StreamId(200));
+}
+
+/**
+ * Select::Random picks one of the entry's candidates with exactly one
+ * draw from the router's route stream per header, and a
+ * single-candidate entry never draws: a twin stream seeded alike
+ * predicts every pick, so an extra or a missing draw shifts the
+ * sequence and fails.
+ */
+TEST_F(RouterTest, RandomSelectDrawsOncePerMultiCandidateHeader)
+{
+    build();
+    RouteCandidates rc;
+    rc.ports = {1, 3, 2, 0};
+    rc.count = 3;
+    rc.select = RouteCandidates::Select::Random;
+    route(9, rc);
+    // A one-link Random entry (a fat factor of 1) must not draw.
+    RouteCandidates one = RouteCandidates::single(2);
+    one.select = RouteCandidates::Select::Random;
+    route(2, one);
+    router->setRouteRng(Rng(2024));
+    Rng twin(2024);
+
+    // One input VC, so headers route in send order; every third
+    // message takes the single-candidate route to port 2.
+    constexpr int kMessages = 60;
+    std::vector<std::unique_ptr<CallbackEvent>> sends;
+    for (int m = 0; m < kMessages; ++m) {
+        const int dest = m % 3 == 0 ? 2 : 9;
+        sends.push_back(std::make_unique<CallbackEvent>(
+            [this, m, dest] { sendMessage(0, 0, dest, 2, m); }));
+        simulator.schedule(*sends.back(), cfg.cycleTime() * 20 * m);
+    }
+    simulator.runToCompletion();
+
+    int picked[kPorts] = {};
+    for (int m = 0; m < kMessages; ++m) {
+        int arrivals = 0;
+        int port = -1;
+        for (int p = 0; p < kPorts; ++p) {
+            if (tailTime(p, m) >= 0) {
+                ++arrivals;
+                port = p;
+            }
+        }
+        ASSERT_EQ(arrivals, 1) << "message " << m;
+        if (m % 3 == 0) {
+            EXPECT_EQ(port, 2) << "message " << m;
+            continue;
+        }
+        EXPECT_TRUE(port == 1 || port == 3 || port == 2)
+            << "message " << m << " left through port " << port;
+        EXPECT_EQ(port, rc.ports[static_cast<std::size_t>(
+                            twin.uniformInt(3))])
+            << "message " << m;
+        ++picked[port];
+    }
+    EXPECT_EQ(picked[0], 0);
+    EXPECT_GT(picked[1], 0);
+    EXPECT_GT(picked[2], 0);
+    EXPECT_GT(picked[3], 0);
 }
 
 TEST_F(RouterTest, VirtualClockPrefersRealTimeOverBestEffort)

@@ -191,6 +191,13 @@ TEST(Topology, OutChannelMapIsConsistent)
 
 // --- Routing delivery ------------------------------------------------------
 
+/** The fat mesh's fat-link policies, each a routing-table input. */
+constexpr config::FatLinkPolicy kFatLinkPolicies[] = {
+    config::FatLinkPolicy::LeastLoaded,
+    config::FatLinkPolicy::Static,
+    config::FatLinkPolicy::Random,
+};
+
 /**
  * Walks @p tables from @p src's router toward @p dst taking
  * candidate @p pick at every hop (clamped to the entry's count) and
@@ -229,9 +236,11 @@ walk(const Topology& topo, const RoutingTables& tables, int src,
 }
 
 void
-expectDelivers(const Topology& topo, config::RoutingKind kind)
+expectDelivers(const Topology& topo, config::RoutingKind kind,
+               config::FatLinkPolicy fat_policy =
+                   config::FatLinkPolicy::LeastLoaded)
 {
-    const RoutingTables tables = buildRouting(topo, kind);
+    const RoutingTables tables = buildRouting(topo, kind, fat_policy);
     const int limit = 2 * topo.numRouters() + 2;
     for (int src = 0; src < topo.numNodes(); ++src) {
         for (int dst = 0; dst < topo.numNodes(); ++dst) {
@@ -255,6 +264,13 @@ TEST(Routing, DimensionOrderDeliversEverywhere)
                    config::RoutingKind::DimensionOrder);
     expectDelivers(Topology::clos(4, 4, 8),
                    config::RoutingKind::DimensionOrder);
+    expectDelivers(Topology::fatMesh(2, 2, 2, 4),
+                   config::RoutingKind::DimensionOrder);
+    for (const auto policy : kFatLinkPolicies) {
+        SCOPED_TRACE(config::toString(policy));
+        expectDelivers(Topology::fatMesh(3, 3, 2, 2),
+                       config::RoutingKind::DimensionOrder, policy);
+    }
 }
 
 TEST(Routing, UpDownDeliversEverywhere)
@@ -319,9 +335,11 @@ TEST(Routing, BfsTreeSpansEveryTopology)
 
 void
 expectAcyclicCdg(const Topology& topo, config::RoutingKind kind,
-                 bool escape_only)
+                 bool escape_only,
+                 config::FatLinkPolicy fat_policy =
+                     config::FatLinkPolicy::LeastLoaded)
 {
-    const RoutingTables tables = buildRouting(topo, kind);
+    const RoutingTables tables = buildRouting(topo, kind, fat_policy);
     const auto edges =
         network::channelDependencyEdges(topo, tables, escape_only);
     const int num_nodes =
@@ -345,6 +363,14 @@ TEST(Deadlock, DimensionOrderCdgIsAcyclic)
                      config::RoutingKind::DimensionOrder, false);
     expectAcyclicCdg(Topology::clos(4, 4, 16),
                      config::RoutingKind::DimensionOrder, false);
+    expectAcyclicCdg(Topology::fatMesh(2, 2, 2, 4),
+                     config::RoutingKind::DimensionOrder, false);
+    for (const auto policy : kFatLinkPolicies) {
+        SCOPED_TRACE(config::toString(policy));
+        expectAcyclicCdg(Topology::fatMesh(3, 3, 2, 2),
+                         config::RoutingKind::DimensionOrder, false,
+                         policy);
+    }
 }
 
 TEST(Deadlock, UpDownCdgIsAcyclic)

@@ -179,8 +179,9 @@ main(int argc, char** argv)
                       "torus8x8", "clos"},
                      &topology);
     parser.addChoice("routing",
-                     "routing policy on mesh8x8/torus8x8/clos "
-                     "(default = the topology's natural policy)",
+                     "routing policy (default = the topology's "
+                     "natural policy); fat-mesh accepts default or "
+                     "dor (its XY), the single switch ignores it",
                      {"default", "dor", "updown", "adaptive"},
                      &routing);
     parser.addChoice("rt-kind", "real-time traffic model",

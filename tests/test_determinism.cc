@@ -26,7 +26,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+
 #include "core/experiment.hh"
+#include "pcs/pcs_experiment.hh"
 
 namespace {
 
@@ -408,6 +413,56 @@ TEST(Determinism, FastForwardMatchesGoldenAtSaturation)
     cfg.fastForward = false;
     const ExperimentResult r = runExperiment(cfg);
     EXPECT_EQ(r.deterministicHash(), kGolden1);
+}
+
+/**
+ * PCS at the paper's switch (8 ports, 24 VCs per link, Virtual Clock
+ * link multiplexers) and load 0.9. The digest folds every QoS and
+ * connection field of the result; eventsFired is pinned on its own
+ * so a change that only moves event counts is told apart from one
+ * that moves behaviour.
+ */
+constexpr std::uint64_t kGoldenPcs = 0x8cf794be0e324574ULL;
+constexpr std::uint64_t kGoldenPcsEvents = 470753;
+
+std::uint64_t
+pcsDigest(const pcs::PcsExperimentResult& r)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto fold = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    fold(std::bit_cast<std::uint64_t>(r.meanIntervalMs));
+    fold(std::bit_cast<std::uint64_t>(r.stddevIntervalMs));
+    fold(std::bit_cast<std::uint64_t>(r.meanIntervalNormMs));
+    fold(std::bit_cast<std::uint64_t>(r.stddevIntervalNormMs));
+    fold(r.intervalSamples);
+    fold(r.framesDelivered);
+    fold(static_cast<std::uint64_t>(r.connectionsRequested));
+    fold(r.attempts);
+    fold(r.established);
+    fold(r.dropped);
+    fold(r.truncated ? 1u : 0u);
+    return h;
+}
+
+TEST(Determinism, MatchesGoldenPcs)
+{
+    pcs::PcsExperimentConfig cfg;
+    cfg.traffic.inputLoad = 0.9;
+    cfg.traffic.warmupFrames = 1;
+    cfg.traffic.measuredFrames = 2;
+    cfg.timeScale = 0.05;
+    cfg.seed = 42;
+    const pcs::PcsExperimentResult r = pcs::runPcsExperiment(cfg);
+    std::printf("PCS digest=0x%016llx events=%llu\n",
+                static_cast<unsigned long long>(pcsDigest(r)),
+                static_cast<unsigned long long>(r.eventsFired));
+    EXPECT_EQ(pcsDigest(r), kGoldenPcs);
+    EXPECT_EQ(r.eventsFired, kGoldenPcsEvents);
 }
 
 /** idleTicksSkipped reports, never perturbs: it is excluded from the

@@ -1,16 +1,14 @@
 /**
  * @file
- * Arbitration-only microbenchmarks: the incremental MuxArbiter
- * kernels against the legacy rebuild-and-scan Scheduler pattern,
- * across scheduler kinds and VC counts.
+ * Arbitration-only microbenchmarks of router::MultiPortArbiter, the
+ * one arbitration front-end of the router, the network interface
+ * and the PCS switch: the per-pick cost of each scheduler kind
+ * across VC counts, a SoA-vs-AoS layout A/B, and the all-ports
+ * sweep.
  *
- * Both benchmarks run the same steady-state workload: every slot
- * holds a flit, each round picks a winner and the winner's next head
- * arrives with a fresh (stamp, seq). The legacy variant rebuilds the
- * candidate vector by scanning all slots each round - exactly the
- * pattern the router's serve loops used before the MuxArbiter - so
- * the pair isolates the cost the eligibility bitmask removed from
- * the per-flit path.
+ * The per-pick rows run a steady-state workload on one port: every
+ * slot holds a flit, each round picks a winner and the winner's next
+ * head arrives with a fresh (stamp, seq).
  */
 
 #include <benchmark/benchmark.h>
@@ -19,14 +17,12 @@
 
 #include "config/router_config.hh"
 #include "router/arbiter.hh"
-#include "router/scheduler.hh"
 #include "sim/random.hh"
 
 namespace {
 
 using namespace mediaworm;
-using router::Candidate;
-using router::MuxArbiter;
+using router::MultiPortArbiter;
 using sim::Tick;
 
 constexpr Tick kCycle = 80000; // 400 Mbps, 32-bit flits.
@@ -54,63 +50,26 @@ BM_ArbiterKernelPick(benchmark::State& state)
         static_cast<config::SchedulerKind>(state.range(0));
     const int num_vcs = static_cast<int>(state.range(1));
 
-    MuxArbiter arb;
-    arb.init(kind, num_vcs);
+    MultiPortArbiter arb;
+    arb.init(kind, 1, num_vcs);
     sim::Rng rng(17);
     std::uint64_t seq = 0;
     Tick now = 0;
     for (int v = 0; v < num_vcs; ++v) {
-        arb.setEligible(v,
+        arb.setEligible(0, v,
                         static_cast<Tick>(rng.uniformInt(1000000)),
                         seq++, vtickFor(v));
     }
 
     for (auto _ : state) {
         now += kCycle;
-        const int winner = arb.pick();
+        const int winner = arb.pick(0);
         benchmark::DoNotOptimize(winner);
         // The winner's head leaves; the next queued flit arrives.
         arb.setEligible(
-            winner,
+            0, winner,
             now + static_cast<Tick>(rng.uniformInt(1000000)), seq++,
             vtickFor(winner));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-
-void
-BM_LegacySchedulerPick(benchmark::State& state)
-{
-    const auto kind =
-        static_cast<config::SchedulerKind>(state.range(0));
-    const int num_vcs = static_cast<int>(state.range(1));
-
-    auto scheduler = router::makeScheduler(kind);
-    sim::Rng rng(17);
-    std::uint64_t seq = 0;
-    Tick now = 0;
-    std::vector<Candidate> slots;
-    for (int v = 0; v < num_vcs; ++v) {
-        slots.push_back(
-            {v, static_cast<Tick>(rng.uniformInt(1000000)), seq++,
-             vtickFor(v)});
-    }
-
-    std::vector<Candidate> candidates;
-    candidates.reserve(static_cast<std::size_t>(num_vcs));
-    for (auto _ : state) {
-        now += kCycle;
-        // The pre-arbiter serve-loop pattern: rescan every slot into
-        // a candidate vector, then pay the virtual pick.
-        candidates.clear();
-        for (int v = 0; v < num_vcs; ++v)
-            candidates.push_back(slots[static_cast<std::size_t>(v)]);
-        const std::size_t index = scheduler->pick(candidates);
-        const int winner = candidates[index].slot;
-        benchmark::DoNotOptimize(winner);
-        Candidate& won = slots[static_cast<std::size_t>(winner)];
-        won.stamp = now + static_cast<Tick>(rng.uniformInt(1000000));
-        won.fifoSeq = seq++;
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -130,12 +89,11 @@ arbiterArgs(benchmark::internal::Benchmark* bench)
 }
 
 BENCHMARK(BM_ArbiterKernelPick)->Apply(arbiterArgs);
-BENCHMARK(BM_LegacySchedulerPick)->Apply(arbiterArgs);
 
 /**
  * SoA-vs-AoS layout A/B for one Virtual Clock arbitration round.
  *
- * The MuxArbiter stores its cached head fields as three parallel
+ * The MultiPortArbiter stores its cached head fields as parallel
  * arrays (struct-of-arrays); before DESIGN.md section 13 they were a
  * vector of HeadRecord structs embedded among the rest of the per-VC
  * hot state. This pair isolates the layout effect alone: both
@@ -200,23 +158,23 @@ void
 BM_ArbiterRoundSoa(benchmark::State& state)
 {
     const int num_vcs = static_cast<int>(state.range(0));
-    MuxArbiter arb;
-    arb.init(config::SchedulerKind::VirtualClock, num_vcs);
+    MultiPortArbiter arb;
+    arb.init(config::SchedulerKind::VirtualClock, 1, num_vcs);
     sim::Rng rng(23);
     std::uint64_t seq = 0;
     Tick now = 0;
     for (int v = 0; v < num_vcs; ++v) {
-        arb.setEligible(v,
+        arb.setEligible(0, v,
                         static_cast<Tick>(rng.uniformInt(1000000)),
                         seq++, router::kBestEffortVtick);
     }
 
     for (auto _ : state) {
         now += kCycle;
-        const int winner = arb.pick();
+        const int winner = arb.pick(0);
         benchmark::DoNotOptimize(winner);
         arb.setEligible(
-            winner,
+            0, winner,
             now + static_cast<Tick>(rng.uniformInt(1000000)), seq++,
             router::kBestEffortVtick);
     }
@@ -242,7 +200,7 @@ BM_MultiPortArbiter(benchmark::State& state)
     const int num_vcs = static_cast<int>(state.range(1));
     const bool use_simd = state.range(2) != 0;
 
-    router::MultiPortArbiter arb;
+    MultiPortArbiter arb;
     arb.init(config::SchedulerKind::VirtualClock, num_ports, num_vcs,
              use_simd);
     sim::Rng rng(29);

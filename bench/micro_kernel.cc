@@ -1,8 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator hot paths: event
- * queue operations, random number generation, scheduler picks and a
- * small end-to-end experiment (events per second).
+ * queue operations, random number generation and a small end-to-end
+ * experiment (events per second). Arbitration picks are measured in
+ * micro_arbiter.cc.
  */
 
 #include <benchmark/benchmark.h>
@@ -147,30 +148,6 @@ BM_NormalDistribution(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_NormalDistribution);
-
-void
-BM_SchedulerPick(benchmark::State& state)
-{
-    const auto kind =
-        static_cast<config::SchedulerKind>(state.range(0));
-    auto scheduler = router::makeScheduler(kind);
-    std::vector<router::Candidate> candidates;
-    sim::Rng rng(11);
-    for (int i = 0; i < 16; ++i) {
-        candidates.push_back(
-            {i, static_cast<sim::Tick>(rng.uniformInt(1000000)),
-             rng.next(), 8 * sim::kMicrosecond});
-    }
-    std::size_t sink = 0;
-    for (auto _ : state)
-        sink += scheduler->pick(candidates);
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SchedulerPick)
-    ->Arg(static_cast<int>(config::SchedulerKind::Fifo))
-    ->Arg(static_cast<int>(config::SchedulerKind::VirtualClock))
-    ->Arg(static_cast<int>(config::SchedulerKind::WeightedRoundRobin));
 
 void
 BM_EndToEndExperiment(benchmark::State& state)

@@ -41,7 +41,6 @@
 #include "network/network_interface.hh"
 #include "router/flit.hh"
 #include "router/link.hh"
-#include "router/scheduler.hh"
 #include "router/virtual_clock.hh"
 #include "router/wormhole_router.hh"
 #include "sim/simulator.hh"

@@ -16,7 +16,7 @@ NetworkInterface::NetworkInterface(sim::Simulator& simulator,
       vclock_(static_cast<std::size_t>(cfg.numVcs)),
       muxEvent_(this, "NetworkInterface::mux")
 {
-    arb_.init(cfg.injectionScheduler, cfg.numVcs, cfg.simdArbiter);
+    arb_.init(cfg.injectionScheduler, 1, cfg.numVcs, cfg.simdArbiter);
     muxEvent_.setBatchSink(this, 0);
     simulator_.addLazyDrain(this);
 }
@@ -181,9 +181,9 @@ NetworkInterface::refreshEligibility(int vc_index)
             ready = false;
     }
     if (ready)
-        arb_.setEligible(vc_index, vc.queue.front());
+        arb_.setEligible(0, vc_index, vc.queue.front());
     else
-        arb_.clearEligible(vc_index);
+        arb_.clearEligible(0, vc_index);
 }
 
 void
@@ -199,10 +199,10 @@ NetworkInterface::serveMux()
     MW_DEBUG_ASSERT(!mux_.busy());
     MW_DEBUG_ASSERT(injectionLink_ != nullptr);
 
-    if (!arb_.anyEligible())
+    if (!arb_.anyEligible(0))
         return;
 
-    const int v = arb_.pick();
+    const int v = arb_.pick(0);
     InjectionVc& vc = vcs_[static_cast<std::size_t>(v)];
 
     // Stamp the launch time in place and send straight from the
@@ -223,7 +223,7 @@ NetworkInterface::serveMux()
 
     // Nothing eligible next cycle means a provably-idle wakeup (the
     // anyEligible() gate above has no side effects): elide it.
-    mux_.arm(simulator_, muxEvent_, cycleTime_, !arb_.anyEligible());
+    mux_.arm(simulator_, muxEvent_, cycleTime_, !arb_.anyEligible(0));
 }
 
 } // namespace mediaworm::network

@@ -137,7 +137,8 @@ class NetworkInterface final : public traffic::Injector,
     // Data-oriented per-VC hot state, indexed by VC lane.
     std::vector<int> credits_;
     std::vector<router::VirtualClockState> vclock_;
-    router::MuxArbiter arb_; ///< Injection-mux eligibility + kernels.
+    /** The injection mux: one port of numVcs slots. */
+    router::MultiPortArbiter arb_;
     sim::MemberFuncEvent<&NetworkInterface::muxFired> muxEvent_;
     sim::LazyTick mux_; ///< Service-slot state; elides idle ticks.
     std::uint64_t nextArrivalSeq_ = 0;

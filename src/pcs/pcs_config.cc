@@ -25,8 +25,9 @@ PcsConfig::validate() const
     using sim::fatal;
     if (numPorts < 2 || numPorts > 64)
         fatal("PcsConfig: numPorts %d out of range [2,64]", numPorts);
-    if (numVcs < 1 || numVcs > 1024)
-        fatal("PcsConfig: numVcs %d out of range [1,1024]", numVcs);
+    // A VC is one bit of a link multiplexer's eligibility mask.
+    if (numVcs < 1 || numVcs > 64)
+        fatal("PcsConfig: numVcs %d out of range [1,64]", numVcs);
     if (flitBufferDepth < 1)
         fatal("PcsConfig: flitBufferDepth must be >= 1");
     if (flitSizeBits < 1 || linkBandwidthMbps < 1)
@@ -45,7 +46,7 @@ PcsConfig::describe() const
                   "%dx%d PCS switch, %d VCs/PC, %d Mbps, %s link "
                   "scheduler",
                   numPorts, numPorts, numVcs, linkBandwidthMbps,
-                  config::toString(linkScheduler));
+                  config::toString(kLinkScheduler));
     return buf;
 }
 

@@ -22,7 +22,9 @@ namespace mediaworm::pcs {
 struct PcsConfig
 {
     int numPorts = 8;            ///< Switch size (= endpoints).
-    int numVcs = 24;             ///< VCs per PC; one per connection.
+    /** VCs per PC, one per connection; at most 64 (one bit of a
+     *  link multiplexer's eligibility mask each). */
+    int numVcs = 24;
     int flitBufferDepth = 20;    ///< Per-connection router buffer.
     int flitSizeBits = 32;       ///< Flit width.
     int linkBandwidthMbps = 100; ///< PC bandwidth (paper's Fig 8).
@@ -30,7 +32,7 @@ struct PcsConfig
     /** Discipline multiplexing connections onto a link. Connections
      *  have reserved rates, so a rate-proportional scheduler keeps
      *  them jitter-free; Virtual Clock is the natural choice. */
-    config::SchedulerKind linkScheduler =
+    static constexpr config::SchedulerKind kLinkScheduler =
         config::SchedulerKind::VirtualClock;
 
     /** Path latency a flit pays traversing the switch, in cycles

@@ -27,7 +27,6 @@ PcsNetwork::PcsNetwork(sim::Simulator& simulator, const PcsConfig& cfg,
         SourceUnit& su = sources_[static_cast<std::size_t>(node)];
         su.vcs = std::make_unique<SourceVc[]>(
             static_cast<std::size_t>(m));
-        su.scheduler = router::makeScheduler(cfg_.linkScheduler);
         su.muxEvent.setCallback([this, node] {
             sources_[static_cast<std::size_t>(node)].muxBusy = false;
             serveSourceMux(node);
@@ -40,13 +39,13 @@ PcsNetwork::PcsNetwork(sim::Simulator& simulator, const PcsConfig& cfg,
                 router::FlitBuffer(
                     static_cast<std::size_t>(cfg_.flitBufferDepth));
         }
-        du.scheduler = router::makeScheduler(cfg_.linkScheduler);
         du.muxEvent.setCallback([this, node] {
             dests_[static_cast<std::size_t>(node)].muxBusy = false;
             serveDestMux(node);
         });
     }
-    scratch_.reserve(static_cast<std::size_t>(m));
+    sourceArb_.init(PcsConfig::kLinkScheduler, n, m);
+    destArb_.init(PcsConfig::kLinkScheduler, n, m);
 }
 
 void
@@ -155,6 +154,7 @@ PcsNetwork::injectMessage(const traffic::MessageDesc& message)
         flit.arrivalSeq = su.nextSeq++;
         svc.queue.push(flit);
     }
+    refreshSource(connection.src.value(), connection.srcVc);
     kickSourceMux(connection.src.value());
 }
 
@@ -170,6 +170,7 @@ PcsNetwork::flitArrived(int node, int vc, const router::Flit& flit)
     stamped.stamp = dvc.vclock.tick(simulator_.now());
     stamped.arrivalSeq = du.nextSeq++;
     dvc.buffer.push(stamped);
+    destArb_.setEligible(node, vc, dvc.buffer.front());
     kickDestMux(node);
 }
 
@@ -178,7 +179,20 @@ PcsNetwork::creditArrived(int node, int vc)
 {
     SourceUnit& su = sources_[static_cast<std::size_t>(node)];
     ++su.vcs[static_cast<std::size_t>(vc)].credits;
+    refreshSource(node, vc);
     kickSourceMux(node);
+}
+
+void
+PcsNetwork::refreshSource(int node, int vc)
+{
+    const SourceVc& svc =
+        sources_[static_cast<std::size_t>(node)]
+            .vcs[static_cast<std::size_t>(vc)];
+    if (svc.active && !svc.queue.empty() && svc.credits > 0)
+        sourceArb_.setEligible(node, vc, svc.queue.front());
+    else
+        sourceArb_.clearEligible(node, vc);
 }
 
 void
@@ -194,23 +208,15 @@ PcsNetwork::serveSourceMux(int node)
     SourceUnit& su = sources_[static_cast<std::size_t>(node)];
     MW_ASSERT(!su.muxBusy);
 
-    scratch_.clear();
-    for (int v = 0; v < cfg_.numVcs; ++v) {
-        SourceVc& svc = su.vcs[static_cast<std::size_t>(v)];
-        if (!svc.active || svc.queue.empty() || svc.credits <= 0)
-            continue;
-        const router::Flit& head = svc.queue.front();
-        scratch_.push_back({v, head.stamp, head.arrivalSeq, head.vtick});
-    }
-    if (scratch_.empty())
+    if (!sourceArb_.anyEligible(node))
         return;
 
-    const std::size_t winner = su.scheduler->pick(scratch_);
-    const int v = scratch_[winner].slot;
+    const int v = sourceArb_.pick(node);
     SourceVc& svc = su.vcs[static_cast<std::size_t>(v)];
 
     const router::Flit flit = svc.queue.pop();
     --svc.credits;
+    refreshSource(node, v);
     svc.link->sendFlit(flit, svc.dstVc);
 
     su.muxBusy = true;
@@ -230,22 +236,17 @@ PcsNetwork::serveDestMux(int node)
     DestUnit& du = dests_[static_cast<std::size_t>(node)];
     MW_ASSERT(!du.muxBusy);
 
-    scratch_.clear();
-    for (int v = 0; v < cfg_.numVcs; ++v) {
-        DestVc& dvc = du.vcs[static_cast<std::size_t>(v)];
-        if (!dvc.active || dvc.buffer.empty())
-            continue;
-        const router::Flit& head = dvc.buffer.front();
-        scratch_.push_back({v, head.stamp, head.arrivalSeq, head.vtick});
-    }
-    if (scratch_.empty())
+    if (!destArb_.anyEligible(node))
         return;
 
-    const std::size_t winner = du.scheduler->pick(scratch_);
-    const int v = scratch_[winner].slot;
+    const int v = destArb_.pick(node);
     DestVc& dvc = du.vcs[static_cast<std::size_t>(v)];
 
     const router::Flit flit = dvc.buffer.pop();
+    if (dvc.buffer.empty())
+        destArb_.clearEligible(node, v);
+    else
+        destArb_.setEligible(node, v, dvc.buffer.front());
     dvc.link->sendCredit(dvc.srcVc);
 
     // The flit leaves on the ejection channel now; record delivery.

@@ -11,6 +11,14 @@
  * rate-proportional (Virtual Clock) discipline with the reservation
  * made at setup. Per-connection router buffers apply credit-based
  * backpressure to the source.
+ *
+ * Both kinds of link multiplexer run on router::MultiPortArbiter, the
+ * arbiter the wormhole router and the network interfaces use: one
+ * instance over the source-link muxes and one over the
+ * destination-link muxes, a port per node and a slot per VC. Slot
+ * eligibility is kept up to date at the events that change it
+ * (injection, credit return, flit arrival, and each serve), so a
+ * mux round is a mask test and one pick.
  */
 
 #ifndef MEDIAWORM_PCS_PCS_NETWORK_HH
@@ -23,10 +31,10 @@
 #include "network/metrics.hh"
 #include "pcs/connection_table.hh"
 #include "pcs/pcs_config.hh"
+#include "router/arbiter.hh"
 #include "router/flit.hh"
 #include "router/flit_buffer.hh"
 #include "router/link.hh"
-#include "router/scheduler.hh"
 #include "router/virtual_clock.hh"
 #include "sim/event.hh"
 #include "sim/simulator.hh"
@@ -86,7 +94,6 @@ class PcsNetwork final : public traffic::Injector
     struct SourceUnit
     {
         std::unique_ptr<SourceVc[]> vcs;
-        std::unique_ptr<router::Scheduler> scheduler;
         sim::CallbackEvent muxEvent;
         bool muxBusy = false;
         std::uint64_t nextSeq = 0;
@@ -104,7 +111,6 @@ class PcsNetwork final : public traffic::Injector
     struct DestUnit
     {
         std::unique_ptr<DestVc[]> vcs;
-        std::unique_ptr<router::Scheduler> scheduler;
         sim::CallbackEvent muxEvent;
         bool muxBusy = false;
         std::uint64_t nextSeq = 0;
@@ -154,6 +160,9 @@ class PcsNetwork final : public traffic::Injector
 
     void flitArrived(int node, int vc, const router::Flit& flit);
     void creditArrived(int node, int vc);
+    /** Re-derives source slot (@p node, @p vc)'s eligibility: a
+     *  queued flit and a credit. */
+    void refreshSource(int node, int vc);
     void kickSourceMux(int node);
     void serveSourceMux(int node);
     void kickDestMux(int node);
@@ -171,10 +180,14 @@ class PcsNetwork final : public traffic::Injector
     std::unique_ptr<SourceCreditReceiver[]> creditReceivers_;
     std::vector<std::unique_ptr<router::Link>> links_;
 
+    /** Source-link muxes (port = node, slot = source VC). */
+    router::MultiPortArbiter sourceArb_;
+    /** Destination-link muxes (port = node, slot = destination VC). */
+    router::MultiPortArbiter destArb_;
+
     /** stream id -> connection (index assigned by ConnectionTable). */
     std::vector<Connection> byStream_;
 
-    std::vector<router::Candidate> scratch_;
     std::uint64_t flitsDelivered_ = 0;
 };
 

@@ -2,17 +2,17 @@
  * @file
  * Incremental multiplexer arbitration (DESIGN.md sections 9 and 14).
  *
- * Two arbiter front-ends share one set of pick kernels:
- *
- *  - MuxArbiter: a single multiplexer's state (the network
- *    interface's injection mux, and the reference shape the
- *    differential fuzz in tests/test_arbiter.cc exercises);
- *  - MultiPortArbiter: every multiplexer of one router in flat
- *    struct-of-arrays storage - one 64-bit eligibility mask per port
- *    and one contiguous, 4-record-padded HeadKey array - so a
- *    router's serve paths touch a handful of shared cache lines and
- *    the whole-router sweep (peekAll) evaluates all ports in one
- *    call.
+ * MultiPortArbiter is the one arbitration front-end of the
+ * simulator. It holds a group of multiplexers in flat
+ * struct-of-arrays storage - one 64-bit eligibility mask per port
+ * and one contiguous, 4-record-padded HeadKey array - and every
+ * scheduling point instantiates it: the router's input and output
+ * muxes (one instance each, a port per router port), the network
+ * interface's injection mux (one port), and the PCS switch's source-
+ * and destination-link muxes (one instance each, a port per node).
+ * A router's serve paths therefore touch a handful of shared cache
+ * lines, and the whole-router sweep (peekAll) evaluates all ports in
+ * one call.
  *
  * Each multiplexer keeps
  *
@@ -34,14 +34,13 @@
  * simd.hh on the eligible-slot count (kSimdMinEligible); both return
  * the same winner, so the choice has no behavioral footprint.
  *
- * Winner selection is bit-identical to the legacy Scheduler classes
- * (kept in scheduler.hh as the reference implementation): the legacy
- * code builds its candidate vector by scanning slots in ascending
- * order, and a ctz loop enumerates set bits in exactly that order, so
- * every tie-break - FIFO's strictly-smaller arrival seq, Virtual
- * Clock's (stamp, fifoSeq) lexicographic order, round-robin's
+ * A ctz loop enumerates eligible slots in ascending order, so every
+ * tie-break - FIFO's strictly-smaller arrival seq, Virtual Clock's
+ * (stamp, fifoSeq) lexicographic order, round-robin's
  * smallest-slot-above rotation, WRR's first-largest-deficit - resolves
- * identically. tests/test_arbiter.cc fuzzes this equivalence.
+ * as a scan over the slots in ascending order would.
+ * tests/test_arbiter.cc keeps such a scan as a test-local reference
+ * picker and fuzzes the kernels against it.
  */
 
 #ifndef MEDIAWORM_ROUTER_ARBITER_HH
@@ -53,12 +52,37 @@
 
 #include "config/router_config.hh"
 #include "router/flit.hh"
-#include "router/scheduler.hh"
 #include "router/simd.hh"
 #include "sim/logging.hh"
 #include "sim/time.hh"
 
 namespace mediaworm::router {
+
+/**
+ * Weighted round robin's one-flit service quantum in Q32.32 fixed
+ * point. Deficits are integers so repeated replenishment accumulates
+ * exactly - double-based accounting drifts when rate ratios have no
+ * finite binary expansion (1/3, 1/10, ...), skewing long-run service
+ * shares.
+ */
+constexpr std::uint64_t kWrrQuantum = std::uint64_t{1} << 32;
+
+/**
+ * Replenishment weight of a slot requesting one flit per @p vtick
+ * when the fastest competing slot requests one per @p min_vtick:
+ * floor(min_vtick / vtick) in Q32.32. The fastest slot gets exactly
+ * kWrrQuantum, pinning the guarantee that one replenish pass always
+ * makes some slot eligible.
+ */
+inline std::uint64_t
+wrrWeight(sim::Tick min_vtick, sim::Tick vtick)
+{
+    return static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(
+             static_cast<std::uint64_t>(min_vtick))
+         << 32)
+        / static_cast<std::uint64_t>(vtick));
+}
 
 /** Cached scheduling fields of a slot's head flit. */
 struct HeadRecord
@@ -69,8 +93,8 @@ struct HeadRecord
 };
 
 // --- shared pick kernels ----------------------------------------------------
-// Free functions over raw slot arrays, so both arbiter front-ends and
-// the benchmarks drive the exact same code. All take the pruned mask
+// Free functions over raw slot arrays, so the arbiter and the
+// benchmarks drive the exact same code. All take the pruned mask
 // @p m (non-zero) and enumerate set bits in ascending slot order.
 
 namespace arb {
@@ -138,8 +162,7 @@ pickVirtualClockScalar(std::uint64_t m, const HeadKey* keys)
 }
 
 /**
- * Deficit round robin in Q32.32 fixed point (see wrrWeight in
- * scheduler.hh). Two rounds at most: the replenish pass credits the
+ * Deficit round robin in Q32.32 fixed point (see wrrWeight). Two rounds at most: the replenish pass credits the
  * fastest eligible slot with exactly one quantum.
  */
 inline int
@@ -223,148 +246,15 @@ paddedSlots(int num_slots)
 } // namespace arb
 
 /**
- * Per-multiplexer arbitration state: eligibility bitmask, cached head
- * records and the rotation/deficit state of the stateful disciplines.
- */
-class MuxArbiter
-{
-  public:
-    MuxArbiter() = default;
-
-    /**
-     * Fixes the discipline and slot count. @p num_slots must be at
-     * most 64 (one bitmask bit per VC; RouterConfig::validate
-     * enforces the same bound on numVcs). @p use_simd opts the
-     * stateless disciplines into the vectorized kernels where
-     * compiled in; winners are identical either way.
-     */
-    void
-    init(config::SchedulerKind kind, int num_slots, bool use_simd = true)
-    {
-        MW_ASSERT(num_slots >= 1 && num_slots <= 64);
-        kind_ = kind;
-        numSlots_ = num_slots;
-        simd_ = use_simd && MW_SIMD_COMPILED != 0;
-        keys_.assign(arb::paddedSlots(num_slots), HeadKey{});
-        vticks_.assign(static_cast<std::size_t>(num_slots),
-                       kBestEffortVtick);
-        if (kind_ == config::SchedulerKind::WeightedRoundRobin)
-            deficit_.assign(static_cast<std::size_t>(num_slots), 0);
-        mask_ = 0;
-        lastSlot_ = -1;
-    }
-
-    /** The discipline this arbiter dispatches to. */
-    config::SchedulerKind kind() const { return kind_; }
-
-    /** True when at least one slot is eligible. */
-    bool anyEligible() const { return mask_ != 0; }
-
-    /** The current eligibility bitmask (bit v = slot v). */
-    std::uint64_t mask() const { return mask_; }
-
-    /** True when @p slot 's bit is set. */
-    bool
-    eligible(int slot) const
-    {
-        return (mask_ >> static_cast<unsigned>(slot)) & 1u;
-    }
-
-    /** Cached head fields of @p slot (valid while eligible),
-     *  gathered from the SoA arrays into a value. Diagnostics only -
-     *  the pick kernels read the arrays directly. */
-    HeadRecord
-    head(int slot) const
-    {
-        const auto s = static_cast<std::size_t>(slot);
-        return {keys_[s].stamp, keys_[s].fifoSeq, vticks_[s]};
-    }
-
-    /**
-     * Marks @p slot eligible and caches its head fields. Also the
-     * way to refresh the cache when an eligible slot's head changes
-     * (pop exposing the next flit).
-     */
-    void
-    setEligible(int slot, sim::Tick stamp, std::uint64_t fifo_seq,
-                sim::Tick vtick)
-    {
-        MW_DEBUG_ASSERT(slot >= 0 && slot < numSlots_);
-        const auto s = static_cast<std::size_t>(slot);
-        keys_[s].stamp = stamp;
-        keys_[s].fifoSeq = fifo_seq;
-        vticks_[s] = vtick;
-        mask_ |= std::uint64_t{1} << static_cast<unsigned>(slot);
-    }
-
-    /** Convenience overload reading the fields from a head flit. */
-    void
-    setEligible(int slot, const Flit& head)
-    {
-        setEligible(slot, head.stamp, head.arrivalSeq, head.vtick);
-    }
-
-    /** Clears @p slot 's eligibility bit (idempotent). */
-    void
-    clearEligible(int slot)
-    {
-        MW_DEBUG_ASSERT(slot >= 0 && slot < numSlots_);
-        mask_ &= ~(std::uint64_t{1} << static_cast<unsigned>(slot));
-    }
-
-    /**
-     * Picks the winning slot among all eligible slots and updates the
-     * discipline's rotation/deficit state. The mask must be
-     * non-empty.
-     */
-    int pick() { return pickMasked(mask_); }
-
-    /**
-     * As pick(), but restricted to @p m, a subset of the eligibility
-     * mask. Used by the crossbar input multiplexer, whose
-     * space/crossbar gates prune the eligible set at serve time.
-     */
-    int
-    pickMasked(std::uint64_t m)
-    {
-        MW_DEBUG_ASSERT(m != 0 && (m & ~mask_) == 0);
-        switch (kind_) {
-          case config::SchedulerKind::Fifo:
-            return arb::pickFifo(m, keys_.data(), numSlots_, simd_);
-          case config::SchedulerKind::RoundRobin:
-            return arb::pickRoundRobin(m, lastSlot_);
-          case config::SchedulerKind::VirtualClock:
-            return arb::pickVirtualClock(m, keys_.data(), numSlots_,
-                                         simd_);
-          case config::SchedulerKind::WeightedRoundRobin:
-            return arb::pickWrr(m, vticks_.data(), deficit_.data(),
-                                lastSlot_);
-        }
-        sim::panic("MuxArbiter: unknown scheduler kind");
-    }
-
-  private:
-    std::uint64_t mask_ = 0;
-    config::SchedulerKind kind_ = config::SchedulerKind::Fifo;
-    int numSlots_ = 0;
-    bool simd_ = false;
-    int lastSlot_ = -1; ///< Rotation pointer (RoundRobin, WRR).
-    // Cached head fields, split by access pattern (see file comment).
-    std::vector<HeadKey> keys_;
-    std::vector<sim::Tick> vticks_;  ///< WRR rate requests only.
-    std::vector<std::uint64_t> deficit_; ///< WRR only; Q32.32.
-};
-
-/**
- * All multiplexers of one router in flat struct-of-arrays storage
+ * A group of multiplexers in flat struct-of-arrays storage
  * (DESIGN.md section 14): masks_[p] is port p's eligibility bitmask
  * and keys_[p * stride + v] its slot v head key, with the stride
  * padded to whole 4-record SIMD groups. One instance serves a
- * router's input muxes and another its output muxes, replacing the
- * per-port MuxArbiter members - the serve loops index two shared
- * arrays instead of chasing per-port objects, and whole-router
- * queries (peekAll, the invariant cross-check) sweep the arrays in
- * one call.
+ * router's input muxes and another its output muxes - the serve
+ * loops index two shared arrays instead of chasing per-port objects,
+ * and whole-router queries (peekAll, the invariant cross-check)
+ * sweep the arrays in one call. The network interface's injection
+ * mux is a one-port instance.
  *
  * Picks remain per-port operations invoked in the exact event order
  * the batched dispatcher pulls them in: a serve's side effects
@@ -380,8 +270,14 @@ class MultiPortArbiter
   public:
     MultiPortArbiter() = default;
 
-    /** Fixes discipline, port count and per-port slot count; see
-     *  MuxArbiter::init() for the SIMD opt-in. */
+    /**
+     * Fixes discipline, port count and per-port slot count. @p
+     * num_slots must be at most 64 (one bitmask bit per VC;
+     * RouterConfig::validate and PcsConfig::validate enforce the
+     * same bound on numVcs). @p use_simd opts the stateless
+     * disciplines into the vectorized kernels where compiled in;
+     * winners are identical either way.
+     */
     void
     init(config::SchedulerKind kind, int num_ports, int num_slots,
          bool use_simd = true)
@@ -426,7 +322,9 @@ class MultiPortArbiter
         return (mask(port) >> static_cast<unsigned>(slot)) & 1u;
     }
 
-    /** Cached head fields (diagnostics; see MuxArbiter::head). */
+    /** Cached head fields of (@p port, @p slot), valid while
+     *  eligible, gathered from the SoA arrays into a value.
+     *  Diagnostics only - the pick kernels read the arrays directly. */
     HeadRecord
     head(int port, int slot) const
     {

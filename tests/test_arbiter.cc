@@ -1,89 +1,439 @@
 /**
  * @file
- * Differential fuzz of the MuxArbiter kernels against the legacy
- * Scheduler classes, plus targeted tests of the incremental-state
- * API and the fixed-point WRR deficit accounting.
+ * Tests of router::MultiPortArbiter, the one arbitration front-end of
+ * the router, the network interface and the PCS switch.
  *
- * The MuxArbiter (router/arbiter.hh) must select the same winner as
- * the virtual Scheduler it replaced for every discipline and every
- * reachable mux state, including across rounds for the stateful
- * disciplines (round robin's rotation pointer, WRR's deficits). The
- * fuzzer drives both implementations with one randomized stream of
- * arbitration rounds per discipline and requires identical winners
- * on every round.
+ * Three layers:
+ *
+ *  - the incremental-state API (mask set/clear, head refresh,
+ *    masked picks);
+ *  - per-discipline behaviour (FIFO, Virtual Clock, round robin,
+ *    weighted round robin) on hand-built mux states;
+ *  - a differential fuzz against ReferencePicker, a test-local
+ *    restatement of the four disciplines as a scan over a candidate
+ *    vector built in ascending slot order. The arbiter's ctz walk
+ *    visits eligible slots in that same order, so every tie-break
+ *    must resolve identically, across rounds and across ports for
+ *    the stateful disciplines (round robin's rotation pointer, WRR's
+ *    deficits).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "config/router_config.hh"
 #include "router/arbiter.hh"
 #include "router/flit.hh"
-#include "router/scheduler.hh"
+#include "sim/logging.hh"
 #include "sim/random.hh"
 
 namespace {
 
 using namespace mediaworm::router;
 using mediaworm::config::SchedulerKind;
+using mediaworm::config::toString;
 using mediaworm::sim::Rng;
 using mediaworm::sim::Tick;
 using mediaworm::sim::microseconds;
+
+// --- reference picker -----------------------------------------------------------
+
+/** One slot competing for the multiplexer in a reference round. */
+struct Candidate
+{
+    int slot;
+    Tick stamp;
+    std::uint64_t fifoSeq;
+    Tick vtick;
+};
+
+/**
+ * The four disciplines as a scan over candidates listed in ascending
+ * slot order: FIFO takes the strictly smallest arrival seq, Virtual
+ * Clock the smallest (stamp, fifoSeq), round robin the smallest slot
+ * above the last winner (wrapping), and WRR the first candidate with
+ * the largest affordable Q32.32 deficit, replenishing every
+ * candidate by wrrWeight() when none can afford a flit.
+ */
+class ReferencePicker
+{
+  public:
+    explicit ReferencePicker(SchedulerKind kind) : kind_(kind) {}
+
+    /** Index into @p c (non-empty) of the winner. */
+    std::size_t
+    pick(const std::vector<Candidate>& c)
+    {
+        MW_ASSERT(!c.empty());
+        switch (kind_) {
+          case SchedulerKind::Fifo:
+            return pickBest(c, [](const Candidate& a, const Candidate& b) {
+                return a.fifoSeq < b.fifoSeq;
+            });
+          case SchedulerKind::VirtualClock:
+            return pickBest(c, [](const Candidate& a, const Candidate& b) {
+                return a.stamp < b.stamp
+                    || (a.stamp == b.stamp && a.fifoSeq < b.fifoSeq);
+            });
+          case SchedulerKind::RoundRobin:
+            return pickRoundRobin(c);
+          case SchedulerKind::WeightedRoundRobin:
+            return pickWrr(c);
+        }
+        mediaworm::sim::panic("ReferencePicker: unknown kind");
+    }
+
+  private:
+    template <typename Less>
+    static std::size_t
+    pickBest(const std::vector<Candidate>& c, Less less)
+    {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < c.size(); ++i) {
+            if (less(c[i], c[best]))
+                best = i;
+        }
+        return best;
+    }
+
+    std::size_t
+    pickRoundRobin(const std::vector<Candidate>& c)
+    {
+        std::size_t winner = 0; // smallest slot: wrap-around choice
+        for (std::size_t i = 0; i < c.size(); ++i) {
+            if (c[i].slot > lastSlot_) {
+                winner = i;
+                break;
+            }
+        }
+        lastSlot_ = c[winner].slot;
+        return winner;
+    }
+
+    std::size_t
+    pickWrr(const std::vector<Candidate>& c)
+    {
+        for (const Candidate& cand : c) {
+            if (deficit_.size() <= static_cast<std::size_t>(cand.slot))
+                deficit_.resize(static_cast<std::size_t>(cand.slot) + 1, 0);
+        }
+        for (int round = 0; round < 2; ++round) {
+            int best = -1;
+            for (std::size_t i = 0; i < c.size(); ++i) {
+                const std::uint64_t d = deficit(c[i]);
+                if (d >= kWrrQuantum
+                    && (best == -1
+                        || d > deficit(c[static_cast<std::size_t>(best)])))
+                    best = static_cast<int>(i);
+            }
+            if (best != -1) {
+                const auto index = static_cast<std::size_t>(best);
+                deficit(c[index]) -= kWrrQuantum;
+                lastSlot_ = c[index].slot;
+                return index;
+            }
+            Tick min_vtick = c[0].vtick;
+            for (const Candidate& cand : c)
+                min_vtick = std::min(min_vtick, cand.vtick);
+            for (const Candidate& cand : c)
+                deficit(cand) += wrrWeight(min_vtick, cand.vtick);
+        }
+        mediaworm::sim::panic("ReferencePicker: no WRR slot eligible");
+    }
+
+    std::uint64_t&
+    deficit(const Candidate& cand)
+    {
+        return deficit_[static_cast<std::size_t>(cand.slot)];
+    }
+
+    SchedulerKind kind_;
+    int lastSlot_ = -1;
+    std::vector<std::uint64_t> deficit_; ///< Q32.32, indexed by slot.
+};
+
+// --- helpers ----------------------------------------------------------------------
+
+constexpr SchedulerKind kAllKinds[] = {
+    SchedulerKind::Fifo, SchedulerKind::RoundRobin,
+    SchedulerKind::VirtualClock, SchedulerKind::WeightedRoundRobin};
+
+/** A one-port arbiter holding exactly @p slots, all eligible. */
+MultiPortArbiter
+mux(SchedulerKind kind, const std::vector<Candidate>& slots,
+    int num_slots = 8)
+{
+    MultiPortArbiter arb;
+    arb.init(kind, 1, num_slots);
+    for (const Candidate& c : slots)
+        arb.setEligible(0, c.slot, c.stamp, c.fifoSeq, c.vtick);
+    return arb;
+}
+
+Candidate
+candidate(int slot, Tick stamp, std::uint64_t seq,
+          Tick vtick = microseconds(8))
+{
+    return {slot, stamp, seq, vtick};
+}
 
 // --- incremental-state API ----------------------------------------------------
 
 TEST(MuxArbiter, MaskTracksSetAndClear)
 {
-    MuxArbiter arb;
-    arb.init(SchedulerKind::Fifo, 8);
-    EXPECT_FALSE(arb.anyEligible());
+    MultiPortArbiter arb;
+    arb.init(SchedulerKind::Fifo, 2, 8);
+    EXPECT_FALSE(arb.anyEligible(1));
 
-    arb.setEligible(3, /*stamp=*/10, /*fifo_seq=*/1, microseconds(8));
-    arb.setEligible(5, /*stamp=*/20, /*fifo_seq=*/2, microseconds(8));
-    EXPECT_TRUE(arb.anyEligible());
-    EXPECT_EQ(arb.mask(), (std::uint64_t{1} << 3) | (std::uint64_t{1} << 5));
-    EXPECT_TRUE(arb.eligible(3));
-    EXPECT_FALSE(arb.eligible(4));
+    arb.setEligible(1, 3, /*stamp=*/10, /*fifo_seq=*/1, microseconds(8));
+    arb.setEligible(1, 5, /*stamp=*/20, /*fifo_seq=*/2, microseconds(8));
+    EXPECT_TRUE(arb.anyEligible(1));
+    EXPECT_FALSE(arb.anyEligible(0)) << "ports keep separate masks";
+    EXPECT_EQ(arb.mask(1),
+              (std::uint64_t{1} << 3) | (std::uint64_t{1} << 5));
+    EXPECT_TRUE(arb.eligible(1, 3));
+    EXPECT_FALSE(arb.eligible(1, 4));
 
-    arb.clearEligible(3);
-    arb.clearEligible(3); // idempotent
-    EXPECT_EQ(arb.mask(), std::uint64_t{1} << 5);
+    arb.clearEligible(1, 3);
+    arb.clearEligible(1, 3); // idempotent
+    EXPECT_EQ(arb.mask(1), std::uint64_t{1} << 5);
 }
 
 TEST(MuxArbiter, SetEligibleRefreshesHeadRecord)
 {
-    MuxArbiter arb;
-    arb.init(SchedulerKind::VirtualClock, 4);
-    arb.setEligible(2, 100, 7, microseconds(4));
-    EXPECT_EQ(arb.head(2).stamp, 100);
-    EXPECT_EQ(arb.head(2).fifoSeq, 7u);
+    MultiPortArbiter arb;
+    arb.init(SchedulerKind::VirtualClock, 2, 4);
+    arb.setEligible(1, 2, 100, 7, microseconds(4));
+    EXPECT_EQ(arb.head(1, 2).stamp, 100);
+    EXPECT_EQ(arb.head(1, 2).fifoSeq, 7u);
 
     // A pop exposing the next flit re-caches via the same call.
-    arb.setEligible(2, 250, 9, microseconds(4));
-    EXPECT_EQ(arb.head(2).stamp, 250);
-    EXPECT_EQ(arb.head(2).fifoSeq, 9u);
+    arb.setEligible(1, 2, 250, 9, microseconds(4));
+    EXPECT_EQ(arb.head(1, 2).stamp, 250);
+    EXPECT_EQ(arb.head(1, 2).fifoSeq, 9u);
+    EXPECT_EQ(arb.head(1, 2).vtick, microseconds(4));
 }
 
 TEST(MuxArbiter, PickMaskedRestrictsToSubset)
 {
-    MuxArbiter arb;
-    arb.init(SchedulerKind::VirtualClock, 8);
-    arb.setEligible(1, /*stamp=*/10, 1, microseconds(8)); // global best
-    arb.setEligible(6, /*stamp=*/99, 2, microseconds(8));
+    MultiPortArbiter arb;
+    arb.init(SchedulerKind::VirtualClock, 1, 8);
+    arb.setEligible(0, 1, /*stamp=*/10, 1, microseconds(8)); // best
+    arb.setEligible(0, 6, /*stamp=*/99, 2, microseconds(8));
     // Gating away slot 1 (as the input mux's space/crossbar gates do)
     // must hand the round to the best of what remains.
-    EXPECT_EQ(arb.pickMasked(std::uint64_t{1} << 6), 6);
-    EXPECT_EQ(arb.pick(), 1);
+    EXPECT_EQ(arb.pickMasked(0, std::uint64_t{1} << 6), 6);
+    EXPECT_EQ(arb.pick(0), 1);
 }
 
-// --- differential fuzz vs the legacy schedulers -------------------------------
+// --- FIFO ---------------------------------------------------------------------
+
+TEST(FifoScheduler, PicksOldestArrival)
+{
+    MultiPortArbiter arb = mux(SchedulerKind::Fifo, {
+        candidate(0, 100, 7),
+        candidate(1, 50, 3),
+        candidate(2, 200, 9),
+    });
+    EXPECT_EQ(arb.pick(0), 1);
+}
+
+TEST(FifoScheduler, IgnoresStamps)
+{
+    MultiPortArbiter arb = mux(SchedulerKind::Fifo, {
+        candidate(0, 1, 10), // earliest stamp, latest arrival
+        candidate(1, 999, 2),
+    });
+    EXPECT_EQ(arb.pick(0), 1);
+}
+
+// --- Virtual Clock -----------------------------------------------------------
+
+TEST(VirtualClockScheduler, PicksLowestStamp)
+{
+    MultiPortArbiter arb = mux(SchedulerKind::VirtualClock, {
+        candidate(0, 300, 1),
+        candidate(1, 100, 2),
+        candidate(2, 200, 3),
+    });
+    EXPECT_EQ(arb.pick(0), 1);
+}
+
+TEST(VirtualClockScheduler, BreaksTiesFifo)
+{
+    MultiPortArbiter arb = mux(SchedulerKind::VirtualClock, {
+        candidate(0, 100, 9),
+        candidate(1, 100, 4),
+    });
+    EXPECT_EQ(arb.pick(0), 1);
+}
+
+TEST(VirtualClockScheduler, RealTimeBeatsBestEffort)
+{
+    MultiPortArbiter arb = mux(SchedulerKind::VirtualClock, {
+        candidate(0, kBestEffortVtick, 1, kBestEffortVtick),
+        candidate(1, microseconds(500), 99),
+    });
+    EXPECT_EQ(arb.pick(0), 1);
+}
+
+// --- Round robin ----------------------------------------------------------------
+
+TEST(RoundRobinScheduler, RotatesAcrossSlots)
+{
+    MultiPortArbiter arb = mux(SchedulerKind::RoundRobin, {
+        candidate(0, 0, 0),
+        candidate(1, 0, 1),
+        candidate(2, 0, 2),
+    });
+    std::vector<int> picks;
+    for (int i = 0; i < 6; ++i)
+        picks.push_back(arb.pick(0));
+    EXPECT_EQ(picks, (std::vector<int>{0, 1, 2, 0, 1, 2}));
+}
+
+TEST(RoundRobinScheduler, SkipsMissingSlots)
+{
+    MultiPortArbiter arb = mux(SchedulerKind::RoundRobin, {
+        candidate(0, 0, 0),
+        candidate(1, 0, 1),
+        candidate(2, 0, 2),
+    });
+    EXPECT_EQ(arb.pick(0), 0);
+    // Slot 1 drops out; rotation continues from the last winner.
+    arb.clearEligible(0, 1);
+    EXPECT_EQ(arb.pick(0), 2);
+    EXPECT_EQ(arb.pick(0), 0);
+}
+
+// --- Weighted round robin ---------------------------------------------------------
+
+TEST(WeightedRoundRobin, ServesProportionallyToRate)
+{
+    // Slot 0 requests twice the rate of slot 1.
+    MultiPortArbiter arb = mux(SchedulerKind::WeightedRoundRobin, {
+        candidate(0, 0, 0, microseconds(4)),
+        candidate(1, 0, 1, microseconds(8)),
+    });
+    int grants[2] = {};
+    for (int i = 0; i < 300; ++i)
+        ++grants[arb.pick(0)];
+    EXPECT_NEAR(static_cast<double>(grants[0]) / grants[1], 2.0, 0.1);
+}
+
+TEST(WeightedRoundRobin, EqualRatesShareEvenly)
+{
+    MultiPortArbiter arb = mux(SchedulerKind::WeightedRoundRobin, {
+        candidate(0, 0, 0, microseconds(8)),
+        candidate(1, 0, 1, microseconds(8)),
+        candidate(2, 0, 2, microseconds(8)),
+    });
+    int grants[3] = {};
+    for (int i = 0; i < 300; ++i)
+        ++grants[arb.pick(0)];
+    EXPECT_NEAR(grants[0], 100, 5);
+    EXPECT_NEAR(grants[1], 100, 5);
+    EXPECT_NEAR(grants[2], 100, 5);
+}
+
+TEST(WeightedRoundRobin, AllBestEffortStillProgresses)
+{
+    MultiPortArbiter arb = mux(SchedulerKind::WeightedRoundRobin, {
+        candidate(0, 0, 0, kBestEffortVtick),
+        candidate(1, 0, 1, kBestEffortVtick),
+    });
+    int grants[2] = {};
+    for (int i = 0; i < 100; ++i)
+        ++grants[arb.pick(0)];
+    EXPECT_GT(grants[0], 20);
+    EXPECT_GT(grants[1], 20);
+}
+
+// --- Parameterized properties over all disciplines --------------------------------
+
+class AllSchedulers : public testing::TestWithParam<SchedulerKind>
+{
+};
+
+TEST_P(AllSchedulers, PickIsAlwaysInRange)
+{
+    constexpr int kSlots = 32;
+    MultiPortArbiter arb;
+    arb.init(GetParam(), 1, kSlots);
+    Rng rng(2024);
+    for (int round = 0; round < 500; ++round) {
+        const std::size_t n = 1 + rng.uniformInt(16);
+        for (std::size_t i = 0; i < n; ++i) {
+            arb.setEligible(0, static_cast<int>(rng.uniformInt(kSlots)),
+                            static_cast<Tick>(rng.uniformInt(1000)),
+                            rng.next(),
+                            microseconds(1 + rng.uniformInt(20)));
+        }
+        const int pick = arb.pick(0);
+        ASSERT_GE(pick, 0);
+        ASSERT_LT(pick, kSlots);
+        ASSERT_TRUE(arb.eligible(0, pick)) << "winner must be eligible";
+        for (int s = 0; s < kSlots; ++s)
+            arb.clearEligible(0, s);
+    }
+}
+
+TEST_P(AllSchedulers, SingleCandidateAlwaysWins)
+{
+    MultiPortArbiter arb = mux(GetParam(), {candidate(5, 123, 9)});
+    for (int i = 0; i < 10; ++i)
+        EXPECT_EQ(arb.pick(0), 5);
+}
+
+TEST_P(AllSchedulers, DeterministicGivenSameHistory)
+{
+    MultiPortArbiter a;
+    MultiPortArbiter b;
+    a.init(GetParam(), 1, 8);
+    b.init(GetParam(), 1, 8);
+    Rng rng(7);
+    for (int round = 0; round < 200; ++round) {
+        const int n = 1 + static_cast<int>(rng.uniformInt(8));
+        for (int s = 0; s < 8; ++s) {
+            if (s < n) {
+                const auto stamp = static_cast<Tick>(rng.uniformInt(1000));
+                const std::uint64_t seq = rng.next();
+                const Tick vtick = microseconds(1 + rng.uniformInt(20));
+                a.setEligible(0, s, stamp, seq, vtick);
+                b.setEligible(0, s, stamp, seq, vtick);
+            } else {
+                a.clearEligible(0, s);
+                b.clearEligible(0, s);
+            }
+        }
+        ASSERT_EQ(a.pick(0), b.pick(0));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Disciplines, AllSchedulers, testing::ValuesIn(kAllKinds),
+    [](const testing::TestParamInfo<SchedulerKind>& info) {
+        std::string name = toString(info.param);
+        for (char& c : name) {
+            if (c == '-')
+                c = '_';
+        }
+        return name;
+    });
+
+// --- differential fuzz vs the reference picker ------------------------------------
 
 /**
- * One randomized mux: a fixed slot population whose heads change
- * between rounds, feeding both implementations identically.
+ * Several randomized muxes sharing one MultiPortArbiter: fixed slot
+ * populations whose heads change between rounds, each port mirrored
+ * by its own ReferencePicker. Rounds hop between ports at random, so
+ * any leak of rotation or deficit state from one port into another
+ * shows up as a divergence.
  */
 class DifferentialFuzz : public ::testing::TestWithParam<SchedulerKind>
 {
@@ -93,20 +443,20 @@ TEST_P(DifferentialFuzz, WinnersMatchLegacySchedulers)
 {
     const SchedulerKind kind = GetParam();
     constexpr int kRounds = 120000;
+    constexpr int kNumPorts = 3;
     constexpr int kNumSlots = 16;
 
     Rng rng(0x715eed5eed5eedULL
             + static_cast<std::uint64_t>(kind) * 0x9e37ULL);
 
-    MuxArbiter arb;
-    arb.init(kind, kNumSlots);
-    auto legacy = makeScheduler(kind);
+    MultiPortArbiter arb;
+    arb.init(kind, kNumPorts, kNumSlots);
+    std::vector<ReferencePicker> refs(kNumPorts, ReferencePicker(kind));
 
     // Persistent per-slot head state, mutated incrementally the way a
     // real mux does: winners pop (new head or empty), idle slots
-    // occasionally gain a flit. The legacy candidate vector is
-    // rebuilt from the same state by an ascending-slot scan, exactly
-    // like the code the arbiter replaced.
+    // occasionally gain a flit. Each reference round rebuilds its
+    // candidate vector from the same state by an ascending-slot scan.
     struct SlotState
     {
         bool eligible = false;
@@ -114,7 +464,8 @@ TEST_P(DifferentialFuzz, WinnersMatchLegacySchedulers)
         std::uint64_t fifoSeq = 0;
         Tick vtick = kBestEffortVtick;
     };
-    std::vector<SlotState> slots(kNumSlots);
+    std::vector<std::vector<SlotState>> slots(
+        kNumPorts, std::vector<SlotState>(kNumSlots));
     std::uint64_t next_seq = 0;
     Tick now = 0;
 
@@ -125,35 +476,34 @@ TEST_P(DifferentialFuzz, WinnersMatchLegacySchedulers)
                            microseconds(8), microseconds(10),
                            microseconds(33), kBestEffortVtick};
 
-    auto arrive = [&](int s) {
-        SlotState& st = slots[static_cast<std::size_t>(s)];
-        st.eligible = true;
-        st.stamp = now + static_cast<Tick>(rng.uniformInt(2000));
-        st.fifoSeq = next_seq++;
-        st.vtick = vticks[rng.uniformInt(std::size(vticks))];
-        arb.setEligible(s, st.stamp, st.fifoSeq, st.vtick);
-    };
-
+    std::vector<int> rounds_per_port(kNumPorts, 0);
     int rounds_run = 0;
     for (int round = 0; round < kRounds; ++round) {
         now += static_cast<Tick>(rng.uniformInt(100));
+        const int port = static_cast<int>(rng.uniformInt(kNumPorts));
+        auto& state = slots[static_cast<std::size_t>(port)];
 
         // Mutate: each slot may flip eligibility or re-stamp its head
         // (a fresh arrival behind an empty slot, or an upstream
         // re-route changing the head).
         for (int s = 0; s < kNumSlots; ++s) {
+            SlotState& st = state[static_cast<std::size_t>(s)];
             const double roll = rng.uniform01();
             if (roll < 0.25) {
-                arrive(s);
+                st.eligible = true;
+                st.stamp = now + static_cast<Tick>(rng.uniformInt(2000));
+                st.fifoSeq = next_seq++;
+                st.vtick = vticks[rng.uniformInt(std::size(vticks))];
+                arb.setEligible(port, s, st.stamp, st.fifoSeq, st.vtick);
             } else if (roll < 0.32) {
-                slots[static_cast<std::size_t>(s)].eligible = false;
-                arb.clearEligible(s);
+                st.eligible = false;
+                arb.clearEligible(port, s);
             }
         }
 
         std::vector<Candidate> candidates;
         for (int s = 0; s < kNumSlots; ++s) {
-            const SlotState& st = slots[static_cast<std::size_t>(s)];
+            const SlotState& st = state[static_cast<std::size_t>(s)];
             if (st.eligible)
                 candidates.push_back(
                     {s, st.stamp, st.fifoSeq, st.vtick});
@@ -161,37 +511,39 @@ TEST_P(DifferentialFuzz, WinnersMatchLegacySchedulers)
         if (candidates.empty())
             continue;
         ++rounds_run;
+        ++rounds_per_port[static_cast<std::size_t>(port)];
 
-        const std::size_t legacy_index = legacy->pick(candidates);
-        const int legacy_slot = candidates[legacy_index].slot;
-        const int kernel_slot = arb.pick();
-        ASSERT_EQ(kernel_slot, legacy_slot)
-            << "divergence at round " << round << " for "
-            << mediaworm::config::toString(kind);
+        const std::size_t ref_index =
+            refs[static_cast<std::size_t>(port)].pick(candidates);
+        const int ref_slot = candidates[ref_index].slot;
+        const int kernel_slot = arb.pick(port);
+        ASSERT_EQ(kernel_slot, ref_slot)
+            << "divergence at round " << round << " on port " << port
+            << " for " << toString(kind);
 
         // The winner's head flit leaves; usually another queued flit
         // becomes the head with a later stamp/seq.
-        SlotState& won = slots[static_cast<std::size_t>(legacy_slot)];
+        SlotState& won = state[static_cast<std::size_t>(ref_slot)];
         if (rng.bernoulli(0.7)) {
             won.stamp = now + static_cast<Tick>(rng.uniformInt(2000));
             won.fifoSeq = next_seq++;
-            arb.setEligible(legacy_slot, won.stamp, won.fifoSeq,
+            arb.setEligible(port, ref_slot, won.stamp, won.fifoSeq,
                             won.vtick);
         } else {
             won.eligible = false;
-            arb.clearEligible(legacy_slot);
+            arb.clearEligible(port, ref_slot);
         }
     }
-    // The mutation rates keep the mux busy; make sure the loop
-    // actually exercised arbitration and did not vacuously pass.
+    // The mutation rates keep the muxes busy; make sure the loop
+    // actually exercised arbitration on every port and did not
+    // vacuously pass.
     EXPECT_GT(rounds_run, kRounds / 2);
+    for (int n : rounds_per_port)
+        EXPECT_GT(n, kRounds / (2 * kNumPorts));
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllKinds, DifferentialFuzz,
-    ::testing::Values(SchedulerKind::Fifo, SchedulerKind::RoundRobin,
-                      SchedulerKind::VirtualClock,
-                      SchedulerKind::WeightedRoundRobin),
+    AllKinds, DifferentialFuzz, ::testing::ValuesIn(kAllKinds),
     [](const ::testing::TestParamInfo<SchedulerKind>& info) {
         switch (info.param) {
           case SchedulerKind::Fifo:
@@ -210,25 +562,24 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * Long-run service shares must follow the requested rates (1/Vtick)
- * even when the rate ratio has no finite binary expansion. With the
- * old double-based deficits a 1:3 ratio accumulated rounding error
- * every replenish pass; the Q32.32 integer accounting pins the
- * shares exactly.
+ * even when the rate ratio has no finite binary expansion. With
+ * double-based deficits a 1:3 ratio accumulates rounding error every
+ * replenish pass; the Q32.32 integer accounting pins the shares
+ * exactly.
  */
 TEST(WrrFairness, ServiceSharesTrackRatesWithoutDrift)
 {
-    MuxArbiter arb;
-    arb.init(SchedulerKind::WeightedRoundRobin, 2);
-
     // Slot 0 requests one flit per 3 us, slot 1 one per 9 us: a 3:1
     // service ratio whose weight (1/3) is inexact in binary.
-    arb.setEligible(0, 0, 0, microseconds(3));
-    arb.setEligible(1, 0, 1, microseconds(9));
+    MultiPortArbiter arb = mux(SchedulerKind::WeightedRoundRobin, {
+        candidate(0, 0, 0, microseconds(3)),
+        candidate(1, 0, 1, microseconds(9)),
+    }, 2);
 
     constexpr int kServes = 400000;
     std::map<int, int> served;
     for (int i = 0; i < kServes; ++i)
-        ++served[arb.pick()];
+        ++served[arb.pick(0)];
 
     // Exactly 3:1 up to the +-1 flit granularity of the rotation.
     const double share0 =
@@ -237,13 +588,14 @@ TEST(WrrFairness, ServiceSharesTrackRatesWithoutDrift)
     EXPECT_EQ(served[0] + served[1], kServes);
 }
 
-/** The legacy scheduler shares the fixed-point accounting. */
+/** The reference picker shares the fixed-point accounting, so the
+ *  fuzz above compares two drift-free implementations. */
 TEST(WrrFairness, LegacySchedulerMatchesFixedPointShares)
 {
-    WeightedRoundRobinScheduler wrr;
+    ReferencePicker wrr(SchedulerKind::WeightedRoundRobin);
     const std::vector<Candidate> candidates = {
-        {0, 0, 0, microseconds(3)},
-        {1, 0, 1, microseconds(9)},
+        candidate(0, 0, 0, microseconds(3)),
+        candidate(1, 0, 1, microseconds(9)),
     };
 
     constexpr int kServes = 400000;
@@ -265,19 +617,19 @@ TEST(WrrFairness, LegacySchedulerMatchesFixedPointShares)
  */
 TEST(WrrFairness, ServePatternIsPeriodic)
 {
-    MuxArbiter arb;
-    arb.init(SchedulerKind::WeightedRoundRobin, 2);
-    arb.setEligible(0, 0, 0, microseconds(4));
-    arb.setEligible(1, 0, 1, microseconds(8));
+    MultiPortArbiter arb = mux(SchedulerKind::WeightedRoundRobin, {
+        candidate(0, 0, 0, microseconds(4)),
+        candidate(1, 0, 1, microseconds(8)),
+    }, 2);
 
     std::vector<int> first(6);
     for (int& winner : first)
-        winner = arb.pick();
+        winner = arb.pick(0);
     // Every later window of 6 serves must repeat the first exactly;
     // drift would eventually insert an extra serve somewhere.
     for (int window = 0; window < 50000; ++window) {
         for (int i = 0; i < 6; ++i)
-            ASSERT_EQ(arb.pick(), first[static_cast<std::size_t>(i)])
+            ASSERT_EQ(arb.pick(0), first[static_cast<std::size_t>(i)])
                 << "pattern broke in window " << window;
     }
 }

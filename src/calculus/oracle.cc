@@ -144,11 +144,12 @@ candidateCurves(const std::vector<Flow>& flows, int i,
                           + 1.0 / point.capacityFlitsPerUs);
 }
 
-/** Flow @p i's sojourn bound at hop @p h given its entry delay
- *  @p entry_delay_us: the better candidate's horizontal deviation. */
+/** Flow @p i's sojourn bound at the point @p pd given its entry
+ *  delay @p entry_delay_us: the better candidate's horizontal
+ *  deviation. */
 double
-sojournAt(const std::vector<Flow>& flows, int i, int h,
-          const PointData& pd, double entry_delay_us)
+sojournAt(const std::vector<Flow>& flows, int i, const PointData& pd,
+          double entry_delay_us)
 {
     if (entry_delay_us >= kUnbounded)
         return kUnbounded;
@@ -335,8 +336,8 @@ computeBounds(const config::RouterConfig& router,
             double total = 0.0;
             for (std::size_t h = 0; h < f.route.size(); ++h) {
                 const PointData& pd = points.at(f.route[h].key);
-                total += sojournAt(flows, static_cast<int>(i),
-                                   static_cast<int>(h), pd, total);
+                total +=
+                    sojournAt(flows, static_cast<int>(i), pd, total);
                 if (f.cum[h + 1] != total) {
                     f.cum[h + 1] = total;
                     changed = true;
@@ -378,7 +379,8 @@ computeBounds(const config::RouterConfig& router,
         b.stream = s.id;
         b.src = s.src;
         b.dst = s.dst;
-        b.hops = model.routerHops(s.src.value(), s.dst.value());
+        // The walked route: injection point plus one per router.
+        b.hops = static_cast<int>(f.route.size()) - 1;
         b.sigmaFlits = f.source.sigmaFlits;
         b.rhoFlitsPerUs = f.source.rhoFlitsPerUs;
         b.reservedFlitsPerUs = f.stampRateFlitsPerUs;

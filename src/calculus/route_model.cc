@@ -77,7 +77,7 @@ RouteModel::RouteModel(const config::RouterConfig& router,
       tables_(network::buildRouting(topo_, net.effectiveRouting(),
                                     net.fatLinkPolicy)),
       // Adaptive paths depend on run-time load; no static route to
-      // analyse. (Hop counts stay closed-form: minimal routing.)
+      // analyse. (Their hop counts are closed-form: minimal routing.)
       analyzable_(!tables_.adaptive)
 {
 }
@@ -85,35 +85,24 @@ RouteModel::RouteModel(const config::RouterConfig& router,
 int
 RouteModel::routerHops(int src, int dst) const
 {
-    const int eps = net_.endpointsPerSwitch;
-    switch (net_.topology) {
-      case config::TopologyKind::SingleSwitch:
-        return 1;
-      case config::TopologyKind::FatMesh:
-      case config::TopologyKind::Mesh:
-      case config::TopologyKind::Torus: {
-        const int ss = src / eps;
-        const int ds = dst / eps;
-        const int sx = ss % net_.meshWidth;
-        const int sy = ss / net_.meshWidth;
-        const int dx = ds % net_.meshWidth;
-        const int dy = ds / net_.meshWidth;
-        if (net_.topology == config::TopologyKind::Torus) {
-            return 1 + ringDistance(sx, dx, net_.meshWidth)
-                + ringDistance(sy, dy, net_.meshHeight);
-        }
-        int hops = 1 + std::abs(sx - dx) + std::abs(sy - dy);
-        if (net_.effectiveRouting() == config::RoutingKind::UpDown
-            && ss != ds) {
-            // Tree routes are not minimal; count the walked path.
-            hops = static_cast<int>(routeOf(src, dst).size()) - 1;
-        }
-        return hops;
-      }
-      case config::TopologyKind::Clos:
+    if (analyzable_)
+        return static_cast<int>(routeOf(src, dst).size()) - 1;
+    // Adaptive routing (mesh, torus, Clos) has no static path, but it
+    // is minimal, so its hop count has a closed form.
+    if (net_.topology == config::TopologyKind::Clos)
         return src / net_.closN == dst / net_.closN ? 1 : 3;
+    const int eps = net_.endpointsPerSwitch;
+    const int ss = src / eps;
+    const int ds = dst / eps;
+    const int sx = ss % net_.meshWidth;
+    const int sy = ss / net_.meshWidth;
+    const int dx = ds % net_.meshWidth;
+    const int dy = ds / net_.meshWidth;
+    if (net_.topology == config::TopologyKind::Torus) {
+        return 1 + ringDistance(sx, dx, net_.meshWidth)
+            + ringDistance(sy, dy, net_.meshHeight);
     }
-    return 1;
+    return 1 + std::abs(sx - dx) + std::abs(sy - dy);
 }
 
 Route

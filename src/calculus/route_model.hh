@@ -100,8 +100,9 @@ class RouteModel
      *  analyzable(). */
     Route routeOf(int src, int dst) const;
 
-    /** Routers on the (src, dst) path: 1 for the single switch,
-     *  1 + switch distance otherwise. Valid for every policy. */
+    /** Routers on the (src, dst) path: the walked route's length
+     *  for a static policy, 1 + switch distance for adaptive
+     *  (minimal) routing. Valid for every policy. */
     int routerHops(int src, int dst) const;
 
   private:
@@ -125,7 +126,7 @@ double linkCapacityFlitsPerUs(const config::RouterConfig& router);
 
 /**
  * Router hops on the (src, dst) path. Convenience wrapper, as
- * routeOf(). Used for the multi-hop backpressure slack term.
+ * routeOf(). The oracle reports this figure as StreamBound::hops.
  */
 int routerHops(const config::NetworkConfig& net, int src, int dst);
 

@@ -348,6 +348,85 @@ planLike(const config::RouterConfig& router,
     return traffic::planMix(router, traffic, num_nodes, mix_rng);
 }
 
+/**
+ * The oracle's per-stream hop count is the length of the route it
+ * walked, for one stream per (src, dst) pair on every multi-switch
+ * shape under each policy with a static path. Up/down tree routes
+ * are not minimal, so on the mesh, torus and Clos they can be longer
+ * than the switch distance.
+ */
+TEST(Oracle, ReportedHopsMatchTheWalkedRoute)
+{
+    struct Shape
+    {
+        const char* name;
+        config::NetworkConfig net;
+    };
+    std::vector<Shape> shapes;
+    for (const config::FatLinkPolicy policy :
+         {config::FatLinkPolicy::LeastLoaded,
+          config::FatLinkPolicy::Static,
+          config::FatLinkPolicy::Random})
+        shapes.push_back({"fat-mesh", fatMeshNet(policy)});
+    for (const config::TopologyKind topo :
+         {config::TopologyKind::Mesh, config::TopologyKind::Torus,
+          config::TopologyKind::Clos}) {
+        for (const config::RoutingKind routing :
+             {config::RoutingKind::DimensionOrder,
+              config::RoutingKind::UpDown}) {
+            config::NetworkConfig net;
+            net.topology = topo;
+            net.routing = routing;
+            net.meshWidth = 4;
+            net.meshHeight = 3;
+            net.endpointsPerSwitch = 2;
+            net.closM = 2;
+            net.closN = 2;
+            net.closR = 4;
+            shapes.push_back({config::toString(topo), net});
+        }
+    }
+
+    const config::RouterConfig router;
+    const config::TrafficConfig traffic;
+    for (const Shape& shape : shapes) {
+        SCOPED_TRACE(std::string(shape.name) + " "
+                     + config::toString(shape.net.effectiveRouting())
+                     + " " + config::toString(shape.net.fatLinkPolicy));
+        shape.net.validate(router.numPorts);
+        const RouteModel model(router, shape.net);
+        ASSERT_TRUE(model.analyzable());
+
+        const int nodes = shape.net.totalNodes(router.numPorts);
+        std::vector<traffic::Stream> streams;
+        for (int src = 0; src < nodes; ++src) {
+            for (int dst = 0; dst < nodes; ++dst) {
+                if (src == dst)
+                    continue;
+                traffic::Stream s;
+                s.id = sim::StreamId(static_cast<int>(streams.size()));
+                s.src = sim::NodeId(src);
+                s.dst = sim::NodeId(dst);
+                s.vtick = sim::milliseconds(1);
+                s.frameInterval = traffic.frameInterval;
+                streams.push_back(s);
+            }
+        }
+        const BoundsReport report =
+            computeBounds(router, traffic, shape.net, streams);
+        ASSERT_EQ(report.streams.size(), streams.size());
+        for (const StreamBound& b : report.streams) {
+            const int walked = static_cast<int>(
+                model.routeOf(b.src.value(), b.dst.value()).size()) - 1;
+            ASSERT_EQ(b.hops, walked)
+                << b.src.value() << " -> " << b.dst.value();
+            ASSERT_EQ(model.routerHops(b.src.value(), b.dst.value()),
+                      walked)
+                << b.src.value() << " -> " << b.dst.value();
+        }
+    }
+}
+
 TEST(Oracle, AdmissibleVirtualClockMixIsFullyBounded)
 {
     config::RouterConfig router;
@@ -571,8 +650,9 @@ TEST(ArtifactV3, RoundTripsThroughTheParser)
             row.find("observed_worst_us");
         ASSERT_NE(bound, nullptr);
         ASSERT_NE(seen, nullptr);
-        if (!bound->isNull())
+        if (!bound->isNull()) {
             EXPECT_LE(seen->number, bound->number);
+        }
     }
 }
 

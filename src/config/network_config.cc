@@ -100,6 +100,18 @@ NetworkConfig::effectiveRouting() const
                                           : RoutingKind::DimensionOrder;
 }
 
+const char*
+NetworkConfig::routingError() const
+{
+    if (topology == TopologyKind::FatMesh
+        && (routing == RoutingKind::UpDown
+            || routing == RoutingKind::Adaptive))
+        return "the fat mesh keeps its paper XY routing "
+               "(Default/DimensionOrder); up*/down* and adaptive "
+               "apply to mesh/torus/clos";
+    return nullptr;
+}
+
 void
 NetworkConfig::validate(int router_ports) const
 {
@@ -142,12 +154,8 @@ NetworkConfig::validate(int router_ports) const
               fatFactor);
     if (endpointsPerSwitch < 1)
         fatal("NetworkConfig: endpointsPerSwitch must be >= 1");
-    if (topology == TopologyKind::FatMesh
-        && (routing == RoutingKind::UpDown
-            || routing == RoutingKind::Adaptive))
-        fatal("NetworkConfig: the fat mesh keeps its paper XY "
-              "routing (Default/DimensionOrder); up*/down* and "
-              "adaptive apply to mesh/torus/clos");
+    if (const char* why = routingError())
+        fatal("NetworkConfig: %s", why);
 
     // Each switch needs ports for its endpoints plus fatFactor links
     // towards each neighbour (at most 4; on the torus, exactly the

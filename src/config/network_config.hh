@@ -96,6 +96,13 @@ struct NetworkConfig
      *  topology: every consumer below the config layer takes this. */
     RoutingKind effectiveRouting() const;
 
+    /**
+     * Null when the routing policy applies to the topology;
+     * otherwise why it does not. validate() and the command line
+     * share this one check.
+     */
+    const char* routingError() const;
+
     /** Aborts via fatal() if the shape is inconsistent. */
     void validate(int router_ports) const;
 

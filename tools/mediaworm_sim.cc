@@ -293,6 +293,11 @@ main(int argc, char** argv)
         break;
     }
     base.network.routing = static_cast<config::RoutingKind>(routing);
+    if (const char* why = base.network.routingError()) {
+        std::fprintf(stderr, "--routing: %s\n%s", why,
+                     parser.help().c_str());
+        return 2;
+    }
     base.traffic.inputLoad = load;
     base.traffic.realTimeFraction = mix;
     base.traffic.realTimeKind =

@@ -108,14 +108,16 @@ main()
     for (const auto& link : net.links()) {
         if (link->name().find("sw") != 0)
             continue; // only inter-switch fat channels
+        // One flit per cycle is full capacity.
+        const double utilization = static_cast<double>(
+                                       link->flitsSent())
+            * static_cast<double>(router_cfg.cycleTime())
+            / static_cast<double>(simulator.now());
         links.addRow(
             {link->name(),
-             core::Table::num(static_cast<std::int64_t>(
-                 link->flitRate().count())),
-             core::Table::num(link->flitRate().utilization(
-                                  simulator.now(),
-                                  router_cfg.cycleTime()),
-                              3)});
+             core::Table::num(
+                 static_cast<std::int64_t>(link->flitsSent())),
+             core::Table::num(utilization, 3)});
     }
     std::printf("Inter-switch fat-channel usage (least-loaded "
                 "selection):\n%s",

@@ -44,16 +44,6 @@ ringDistance(int a, int b, int k)
     return std::min(fwd, k - fwd);
 }
 
-/** The graph Network builds: the single switch is sized by the
- *  router's port count. */
-network::Topology
-topologyOf(const config::RouterConfig& router,
-           config::NetworkConfig net)
-{
-    net.singleSwitchPorts = router.numPorts;
-    return network::Topology::build(net);
-}
-
 /** Router at the far end of output @p port of @p router. */
 int
 nextRouter(const network::Topology& topo, int router, int port)
@@ -73,7 +63,8 @@ linkCapacityFlitsPerUs(const config::RouterConfig& router)
 
 RouteModel::RouteModel(const config::RouterConfig& router,
                        const config::NetworkConfig& net)
-    : router_(router), net_(net), topo_(topologyOf(router, net)),
+    : router_(router), net_(net),
+      topo_(network::Topology::build(net, router.numPorts)),
       tables_(network::buildRouting(topo_, net.effectiveRouting(),
                                     net.fatLinkPolicy)),
       // Adaptive paths depend on run-time load; no static route to

@@ -75,13 +75,6 @@ struct NetworkConfig
      */
     int endpointsPerSwitch = 4;
 
-    /**
-     * Single-switch port count used by the topology graph builder.
-     * Network overwrites it with the router's numPorts before
-     * building, so the graph and hardware always agree.
-     */
-    int singleSwitchPorts = 8;
-
     int closM = 4; ///< Spine switches.
     int closN = 4; ///< Endpoints per leaf switch.
     int closR = 8; ///< Leaf switches.

@@ -39,6 +39,8 @@
 #include "network/metrics.hh"
 #include "network/network.hh"
 #include "network/network_interface.hh"
+#include "obs/observer.hh"
+#include "obs/telemetry.hh"
 #include "router/flit.hh"
 #include "router/link.hh"
 #include "router/virtual_clock.hh"

@@ -7,9 +7,7 @@ MetricsHub::growLanes(std::size_t count)
 {
     while (lanes_.size() < count) {
         lanes_.push_back(std::make_unique<MetricsLane>(this));
-#ifndef MEDIAWORM_NO_OBS
         lanes_.back()->attachTelemetry(defaultTelemetry_);
-#endif
     }
 }
 

@@ -33,9 +33,6 @@ Network::Network(std::vector<sim::Simulator*> shard_sims,
     MW_ASSERT(static_cast<int>(sims_.size()) == plan_.numShards
               || (plan_.trivial() && sims_.size() == 1));
     routerCfg_.validate();
-    // The topology graph builder sizes the single switch from the
-    // router hardware, so graph and router always agree.
-    netCfg_.singleSwitchPorts = routerCfg_.numPorts;
     netCfg_.validate(routerCfg_.numPorts);
     linkDelay_ =
         static_cast<sim::Tick>(routerCfg_.linkDelayCycles
@@ -135,7 +132,8 @@ Network::wireTopology(const Topology& topo)
 void
 Network::buildRouted()
 {
-    const Topology topo = Topology::build(netCfg_);
+    const Topology topo =
+        Topology::build(netCfg_, routerCfg_.numPorts);
     const RoutingTables tables = buildRouting(
         topo, netCfg_.effectiveRouting(), netCfg_.fatLinkPolicy);
     // The routers copy their config at construction, so the VC-class
@@ -188,34 +186,6 @@ Network::attachTracer(sim::Tracer& tracer)
         routers_[i]->setTracer(&tracer, static_cast<int>(i));
     for (auto& ni : nis_)
         ni->setTracer(&tracer);
-}
-
-void
-Network::registerStats(stats::Registry& registry) const
-{
-    for (const auto& sw : routers_)
-        sw->registerStats(registry);
-    for (std::size_t i = 0; i < nis_.size(); ++i) {
-        const NetworkInterface* ni = nis_[i].get();
-        registry.add("ni" + std::to_string(i) + ".flits_injected",
-                     "flits this endpoint put on its link", [ni] {
-                         return static_cast<double>(
-                             ni->flitsInjected());
-                     });
-        registry.add("ni" + std::to_string(i) + ".backlog_flits",
-                     "flits queued at the host", [ni] {
-                         return static_cast<double>(
-                             ni->backlogFlits());
-                     });
-    }
-    for (const auto& link : links_) {
-        const router::Link* raw = link.get();
-        registry.add("link." + raw->name() + ".flits",
-                     "flits transmitted", [raw] {
-                         return static_cast<double>(
-                             raw->flitRate().count());
-                     });
-    }
 }
 
 } // namespace mediaworm::network

@@ -33,7 +33,6 @@
 #include "router/wormhole_router.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
-#include "stats/registry.hh"
 
 namespace mediaworm::network {
 
@@ -141,12 +140,6 @@ class Network
 
     /** Total host-side injection backlog, for drain diagnostics. */
     std::uint64_t totalBacklogFlits() const;
-
-    /**
-     * Registers every router's, NI's and link's counters in
-     * @p registry for end-of-run reporting.
-     */
-    void registerStats(stats::Registry& registry) const;
 
     /** Attaches @p tracer to every router and NI. */
     void attachTracer(sim::Tracer& tracer);

@@ -272,14 +272,11 @@ Topology::clos(int m, int n, int r)
 }
 
 Topology
-Topology::build(const config::NetworkConfig& net)
+Topology::build(const config::NetworkConfig& net, int router_ports)
 {
     switch (net.topology) {
       case config::TopologyKind::SingleSwitch:
-        // The caller (Network) sizes the switch by its router
-        // config; the config layer records the paper's 8-port
-        // default via totalNodes().
-        return singleSwitch(net.singleSwitchPorts);
+        return singleSwitch(router_ports);
       case config::TopologyKind::FatMesh:
         return fatMesh(net.meshWidth, net.meshHeight, net.fatFactor,
                        net.endpointsPerSwitch);

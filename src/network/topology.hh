@@ -81,8 +81,13 @@ class Topology
      */
     static Topology clos(int m, int n, int r);
 
-    /** Builds the graph described by a validated NetworkConfig. */
-    static Topology build(const config::NetworkConfig& net);
+    /**
+     * Builds the graph described by a validated NetworkConfig; a
+     * single switch gets @p router_ports ports, so the graph and the
+     * router hardware always agree.
+     */
+    static Topology build(const config::NetworkConfig& net,
+                          int router_ports);
 
     config::TopologyKind kind() const { return kind_; }
     int numRouters() const { return numRouters_; }

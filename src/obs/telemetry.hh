@@ -31,7 +31,6 @@
 #include "sim/ids.hh"
 #include "sim/time.hh"
 #include "stats/accumulator.hh"
-#include "stats/rate_monitor.hh"
 
 namespace mediaworm::obs {
 
@@ -120,8 +119,14 @@ class StreamTelemetry
     /** @param cfg Validated config; cfg.window must be > 0 here. */
     explicit StreamTelemetry(const TelemetryConfig& cfg);
 
-    /** Observes delivery of a complete frame of @p stream. */
-    void recordFrameDelivery(sim::StreamId stream, sim::Tick now);
+    /**
+     * Observes delivery of a complete frame of @p stream, @p interval
+     * after its previous frame (sim::kTickNever for the first). The
+     * caller owns the per-stream previous-delivery time: MetricsLane
+     * passes what its IntervalTracker returned.
+     */
+    void recordFrameDelivery(sim::StreamId stream, sim::Tick now,
+                             sim::Tick interval);
 
     /** Observes delivery of one flit of @p stream. */
     void recordFlit(sim::StreamId stream, sim::Tick now);
@@ -159,11 +164,9 @@ class StreamTelemetry
     struct StreamState
     {
         // Current-window accumulators.
-        stats::RateMonitor flitRate;
+        std::uint64_t windowFlits = 0;
         stats::Accumulator windowIntervals;
         std::uint64_t windowFrames = 0;
-        // Cross-window state.
-        sim::Tick lastDelivery = sim::kTickNever;
         // Whole-run aggregates.
         stats::Accumulator overallIntervals; ///< >= measureFrom only.
         std::uint64_t totalFrames = 0;

@@ -49,7 +49,8 @@ class PcsNetwork final : public traffic::Injector
     /**
      * @param simulator Owning kernel.
      * @param cfg PCS configuration.
-     * @param metrics Shared measurement hub.
+     * @param metrics Shared measurement hub; every endpoint records
+     *        into its lane 0 (the switch is one delivery point).
      */
     PcsNetwork(sim::Simulator& simulator, const PcsConfig& cfg,
                network::MetricsHub& metrics);
@@ -170,7 +171,7 @@ class PcsNetwork final : public traffic::Injector
 
     sim::Simulator& simulator_;
     PcsConfig cfg_;
-    network::MetricsHub& metrics_;
+    network::MetricsLane& lane_;
     sim::Tick cycleTime_;
     ConnectionTable table_;
 

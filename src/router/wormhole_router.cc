@@ -730,30 +730,6 @@ WormholeRouter::lazyPending() const
 // --- diagnostics ----------------------------------------------------------------
 
 void
-WormholeRouter::registerStats(stats::Registry& registry) const
-{
-    registry.add(name_ + ".flits_forwarded",
-                 "flits that left the router",
-                 [this] { return static_cast<double>(flitsForwarded_); });
-    registry.add(name_ + ".headers_routed",
-                 "messages whose header computed a route",
-                 [this] { return static_cast<double>(headersRouted_); });
-    registry.add(name_ + ".allocation_waits",
-                 "messages that blocked on output-VC allocation",
-                 [this] {
-                     return static_cast<double>(allocationWaits_);
-                 });
-    for (int p = 0; p < cfg_.numPorts; ++p) {
-        registry.add(name_ + ".port" + std::to_string(p)
-                         + ".output_load",
-                     "buffered flits at this output port",
-                     [this, p] {
-                         return static_cast<double>(outputLoad(p));
-                     });
-    }
-}
-
-void
 WormholeRouter::debugCorruptVcForTest(int port, int vc)
 {
     // An Active input VC must carry a valid grant; wiping it is the

@@ -43,7 +43,6 @@
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "sim/tracer.hh"
-#include "stats/registry.hh"
 
 namespace mediaworm::router {
 
@@ -194,12 +193,6 @@ class WormholeRouter : public sim::BatchSink, public sim::LazyDrain
      * outside tests - the router is unusable afterwards.
      */
     void debugCorruptVcForTest(int port, int vc);
-
-    /**
-     * Registers this router's counters under "<name>." in
-     * @p registry for end-of-run reporting.
-     */
-    void registerStats(stats::Registry& registry) const;
 
     /**
      * Attaches a flit tracer; @p location identifies this router in

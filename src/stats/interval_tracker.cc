@@ -2,24 +2,19 @@
 
 namespace mediaworm::stats {
 
-void
-IntervalTracker::recordDelivery(sim::StreamId stream, sim::Tick now)
+sim::Tick
+IntervalTracker::recordDelivery(sim::StreamId stream, sim::Tick now,
+                                bool measured)
 {
     ++framesDelivered_;
-    const auto it = lastDelivery_.find(stream);
-    if (it != lastDelivery_.end()) {
-        if (enabled_)
-            intervals_.add(static_cast<double>(now - it->second));
-        it->second = now;
-    } else {
-        lastDelivery_.emplace(stream, now);
-    }
-}
-
-void
-IntervalTracker::resetMeasurement()
-{
-    intervals_.reset();
+    const auto [it, first] = lastDelivery_.try_emplace(stream, now);
+    if (first)
+        return sim::kTickNever;
+    const sim::Tick interval = now - it->second;
+    if (measured)
+        intervals_.add(static_cast<double>(interval));
+    it->second = now;
+    return interval;
 }
 
 void

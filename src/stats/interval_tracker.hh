@@ -30,26 +30,16 @@ class IntervalTracker
      * Records that @p stream delivered a complete frame at @p now.
      *
      * Frames must be reported in delivery order per stream; the first
-     * frame of a stream only establishes the baseline. Samples taken
-     * before enable() are discarded (warmup).
+     * frame of a stream only establishes the baseline. The interval
+     * to the previous frame joins the measured statistics only when
+     * @p measured is set (steady state after warmup); either way the
+     * delivery becomes the stream's new baseline.
+     *
+     * @return The interval to the stream's previous frame, or
+     *         sim::kTickNever for its first frame.
      */
-    void recordDelivery(sim::StreamId stream, sim::Tick now);
-
-    /**
-     * Starts measurement. Intervals that span the enable point are
-     * included only if the previous delivery was already seen, which
-     * matches the paper's steady-state measurement after warmup.
-     */
-    void enable() { enabled_ = true; }
-
-    /** Stops measurement (deliveries still update baselines). */
-    void disable() { enabled_ = false; }
-
-    /** True while measurement is running. */
-    bool enabled() const { return enabled_; }
-
-    /** Clears measured intervals, keeping per-stream baselines. */
-    void resetMeasurement();
+    sim::Tick recordDelivery(sim::StreamId stream, sim::Tick now,
+                             bool measured);
 
     /**
      * Folds @p other 's aggregate statistics into this tracker:
@@ -79,7 +69,6 @@ class IntervalTracker
     std::unordered_map<sim::StreamId, sim::Tick> lastDelivery_;
     Accumulator intervals_;
     std::uint64_t framesDelivered_ = 0;
-    bool enabled_ = false;
 };
 
 } // namespace mediaworm::stats

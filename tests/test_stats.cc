@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the statistics toolkit: accumulator, histogram,
- * time-weighted average, rate monitor, interval tracker, registry.
+ * Unit tests for the statistics toolkit: accumulator, histogram and
+ * interval tracker.
  */
 
 #include <cmath>
@@ -12,9 +12,6 @@
 #include "stats/accumulator.hh"
 #include "stats/histogram.hh"
 #include "stats/interval_tracker.hh"
-#include "stats/rate_monitor.hh"
-#include "stats/registry.hh"
-#include "stats/time_average.hh"
 
 namespace {
 
@@ -168,72 +165,18 @@ TEST(Histogram, ToStringMentionsStats)
     EXPECT_NE(text.find("n=1"), std::string::npos);
 }
 
-// --- TimeAverage ---------------------------------------------------------------
-
-TEST(TimeAverage, PiecewiseConstantSignal)
-{
-    TimeAverage avg(0);
-    avg.update(0, 2.0);   // 2.0 over [0, 10)
-    avg.update(10, 6.0);  // 6.0 over [10, 20)
-    EXPECT_DOUBLE_EQ(avg.average(20), 4.0);
-    EXPECT_DOUBLE_EQ(avg.current(), 6.0);
-}
-
-TEST(TimeAverage, ZeroElapsedReturnsCurrent)
-{
-    TimeAverage avg(5);
-    avg.update(5, 3.0);
-    EXPECT_DOUBLE_EQ(avg.average(5), 3.0);
-}
-
-TEST(TimeAverage, ResetRestartsWindow)
-{
-    TimeAverage avg(0);
-    avg.update(0, 100.0);
-    avg.reset(10);
-    avg.update(10, 2.0);
-    EXPECT_DOUBLE_EQ(avg.average(20), 2.0);
-}
-
-// --- RateMonitor ---------------------------------------------------------------
-
-TEST(RateMonitor, RatePerSecond)
-{
-    RateMonitor rate;
-    rate.reset(0);
-    rate.add(1000);
-    EXPECT_DOUBLE_EQ(rate.ratePerSecond(kSecond), 1000.0);
-    EXPECT_DOUBLE_EQ(rate.ratePerSecond(kSecond / 2), 2000.0);
-}
-
-TEST(RateMonitor, UtilizationFromServiceTime)
-{
-    RateMonitor rate;
-    rate.reset(0);
-    // 5000 flits of 80 ns on a 1 ms window = 40% utilization.
-    rate.add(5000);
-    EXPECT_NEAR(rate.utilization(kMillisecond, nanoseconds(80)), 0.4,
-                1e-12);
-}
-
-TEST(RateMonitor, ZeroWindowIsZero)
-{
-    RateMonitor rate;
-    rate.reset(100);
-    rate.add(5);
-    EXPECT_DOUBLE_EQ(rate.ratePerSecond(100), 0.0);
-}
-
 // --- IntervalTracker --------------------------------------------------------------
 
 TEST(IntervalTracker, MeasuresSuccessiveDeliveries)
 {
     IntervalTracker tracker;
-    tracker.enable();
     const StreamId s(1);
-    tracker.recordDelivery(s, milliseconds(0));
-    tracker.recordDelivery(s, milliseconds(33));
-    tracker.recordDelivery(s, milliseconds(66));
+    EXPECT_EQ(tracker.recordDelivery(s, milliseconds(0), true),
+              kTickNever);
+    EXPECT_EQ(tracker.recordDelivery(s, milliseconds(33), true),
+              milliseconds(33));
+    EXPECT_EQ(tracker.recordDelivery(s, milliseconds(66), true),
+              milliseconds(33));
     EXPECT_EQ(tracker.sampleCount(), 2u);
     EXPECT_DOUBLE_EQ(tracker.meanIntervalMs(), 33.0);
     EXPECT_DOUBLE_EQ(tracker.stddevIntervalMs(), 0.0);
@@ -242,11 +185,10 @@ TEST(IntervalTracker, MeasuresSuccessiveDeliveries)
 TEST(IntervalTracker, JitterShowsInStddev)
 {
     IntervalTracker tracker;
-    tracker.enable();
     const StreamId s(1);
-    tracker.recordDelivery(s, milliseconds(0));
-    tracker.recordDelivery(s, milliseconds(30));
-    tracker.recordDelivery(s, milliseconds(66));
+    tracker.recordDelivery(s, milliseconds(0), true);
+    tracker.recordDelivery(s, milliseconds(30), true);
+    tracker.recordDelivery(s, milliseconds(66), true);
     EXPECT_DOUBLE_EQ(tracker.meanIntervalMs(), 33.0);
     EXPECT_DOUBLE_EQ(tracker.stddevIntervalMs(), 3.0);
 }
@@ -255,10 +197,9 @@ TEST(IntervalTracker, WarmupDeliveriesSetBaselineOnly)
 {
     IntervalTracker tracker;
     const StreamId s(1);
-    tracker.recordDelivery(s, milliseconds(0));  // disabled
-    tracker.recordDelivery(s, milliseconds(40)); // disabled
-    tracker.enable();
-    tracker.recordDelivery(s, milliseconds(73));
+    tracker.recordDelivery(s, milliseconds(0), false);  // warmup
+    tracker.recordDelivery(s, milliseconds(40), false); // warmup
+    tracker.recordDelivery(s, milliseconds(73), true);
     EXPECT_EQ(tracker.sampleCount(), 1u);
     EXPECT_DOUBLE_EQ(tracker.meanIntervalMs(), 33.0);
     EXPECT_EQ(tracker.framesDelivered(), 3u);
@@ -267,49 +208,32 @@ TEST(IntervalTracker, WarmupDeliveriesSetBaselineOnly)
 TEST(IntervalTracker, StreamsAreIndependent)
 {
     IntervalTracker tracker;
-    tracker.enable();
-    tracker.recordDelivery(StreamId(1), milliseconds(0));
-    tracker.recordDelivery(StreamId(2), milliseconds(10));
-    tracker.recordDelivery(StreamId(1), milliseconds(33));
-    tracker.recordDelivery(StreamId(2), milliseconds(43));
+    EXPECT_EQ(tracker.recordDelivery(StreamId(1), milliseconds(0), true),
+              kTickNever);
+    EXPECT_EQ(
+        tracker.recordDelivery(StreamId(2), milliseconds(10), true),
+        kTickNever);
+    tracker.recordDelivery(StreamId(1), milliseconds(33), true);
+    tracker.recordDelivery(StreamId(2), milliseconds(43), true);
     EXPECT_EQ(tracker.sampleCount(), 2u);
     EXPECT_DOUBLE_EQ(tracker.meanIntervalMs(), 33.0);
 }
 
 TEST(IntervalTracker, ResetMeasurementKeepsBaselines)
 {
+    // Dropping out of measurement mid-stream discards that interval
+    // but still moves the baseline: the last interval is taken from
+    // the unmeasured 40 ms delivery, and it is returned either way.
     IntervalTracker tracker;
-    tracker.enable();
     const StreamId s(1);
-    tracker.recordDelivery(s, milliseconds(0));
-    tracker.recordDelivery(s, milliseconds(40));
-    tracker.resetMeasurement();
-    tracker.recordDelivery(s, milliseconds(73));
+    tracker.recordDelivery(s, milliseconds(0), true);
+    EXPECT_EQ(tracker.recordDelivery(s, milliseconds(40), false),
+              milliseconds(40));
+    EXPECT_EQ(tracker.recordDelivery(s, milliseconds(73), true),
+              milliseconds(33));
     EXPECT_EQ(tracker.sampleCount(), 1u);
     EXPECT_DOUBLE_EQ(tracker.meanIntervalMs(), 33.0);
-}
-
-// --- Registry -------------------------------------------------------------------
-
-TEST(Registry, LookupAndDump)
-{
-    Registry registry;
-    double value = 1.5;
-    registry.add("router0.flits", "flits forwarded",
-                 [&] { return value; });
-    EXPECT_EQ(registry.size(), 1u);
-    EXPECT_DOUBLE_EQ(registry.lookup("router0.flits"), 1.5);
-    value = 2.5;
-    EXPECT_DOUBLE_EQ(registry.lookup("router0.flits"), 2.5);
-    EXPECT_TRUE(std::isnan(registry.lookup("missing")));
-
-    const std::string text = registry.dumpText();
-    EXPECT_NE(text.find("router0.flits"), std::string::npos);
-    EXPECT_NE(text.find("flits forwarded"), std::string::npos);
-
-    const std::string csv = registry.dumpCsv();
-    EXPECT_NE(csv.find("stat,value"), std::string::npos);
-    EXPECT_NE(csv.find("router0.flits,2.5"), std::string::npos);
+    EXPECT_EQ(tracker.framesDelivered(), 3u);
 }
 
 } // namespace

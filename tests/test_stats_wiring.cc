@@ -1,15 +1,12 @@
 /**
  * @file
- * Tests for statistics-registry wiring across the network components
- * and for larger mesh shapes than the paper's 2x2.
+ * Tests for the counters the network components keep (router, NI
+ * and link) and for larger mesh shapes than the paper's 2x2.
  */
-
-#include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "network/network.hh"
-#include "stats/registry.hh"
 #include "traffic/stream.hh"
 
 namespace {
@@ -32,6 +29,18 @@ simpleMessage(int src, int dst)
     return desc;
 }
 
+/** Flits sent over the link named @p name; fails if there is none. */
+std::uint64_t
+linkFlits(const Network& net, const std::string& name)
+{
+    for (const auto& link : net.links()) {
+        if (link->name() == name)
+            return link->flitsSent();
+    }
+    ADD_FAILURE() << "no link named " << name;
+    return 0;
+}
+
 TEST(StatsWiring, SingleSwitchRegistryTracksTraffic)
 {
     Simulator simulator;
@@ -41,25 +50,29 @@ TEST(StatsWiring, SingleSwitchRegistryTracksTraffic)
     Rng rng(1);
     Network net(simulator, router_cfg, net_cfg, metrics, rng);
 
-    stats::Registry registry;
-    net.registerStats(registry);
-    // 3 router counters + 8 port loads + 16 NI stats + 16 links.
-    EXPECT_EQ(registry.size(), 3u + 8 + 16 + 16);
-    EXPECT_DOUBLE_EQ(registry.lookup("router0.flits_forwarded"), 0.0);
+    // One router, 8 NIs, an injection and an ejection link per node.
+    ASSERT_EQ(net.numRouters(), 1);
+    ASSERT_EQ(net.numNodes(), 8);
+    EXPECT_EQ(net.links().size(), 16u);
+    const router::WormholeRouter& sw = net.router(0);
+    EXPECT_EQ(sw.flitsForwarded(), 0u);
 
     net.ni(0).injectMessage(simpleMessage(0, 5));
     simulator.runToCompletion();
 
-    EXPECT_DOUBLE_EQ(registry.lookup("router0.flits_forwarded"), 5.0);
-    EXPECT_DOUBLE_EQ(registry.lookup("router0.headers_routed"), 1.0);
-    EXPECT_DOUBLE_EQ(registry.lookup("ni0.flits_injected"), 5.0);
-    EXPECT_DOUBLE_EQ(registry.lookup("ni0.backlog_flits"), 0.0);
-    EXPECT_DOUBLE_EQ(registry.lookup("link.inj0.flits"), 5.0);
-    EXPECT_DOUBLE_EQ(registry.lookup("link.ej5.flits"), 5.0);
-
-    const std::string dump = registry.dumpText();
-    EXPECT_NE(dump.find("router0.allocation_waits"),
-              std::string::npos);
+    EXPECT_EQ(sw.flitsForwarded(), 5u);
+    EXPECT_EQ(sw.headersRouted(), 1u);
+    EXPECT_EQ(sw.allocationWaits(), 0u);
+    EXPECT_EQ(net.ni(0).flitsInjected(), 5u);
+    EXPECT_EQ(net.ni(0).backlogFlits(), 0u);
+    EXPECT_EQ(linkFlits(net, "inj0"), 5u);
+    EXPECT_EQ(linkFlits(net, "ej5"), 5u);
+    for (int node = 0; node < net.numNodes(); ++node) {
+        if (node != 0) {
+            EXPECT_EQ(net.ni(node).flitsInjected(), 0u) << node;
+        }
+        EXPECT_EQ(sw.outputLoad(node), 0) << node;
+    }
 }
 
 TEST(StatsWiring, FatMeshRegistersEveryRouter)
@@ -72,13 +85,25 @@ TEST(StatsWiring, FatMeshRegistersEveryRouter)
     Rng rng(1);
     Network net(simulator, router_cfg, net_cfg, metrics, rng);
 
-    stats::Registry registry;
-    net.registerStats(registry);
+    // Node 0 (switch 0) to node 15 (switch 3) crosses the diagonal:
+    // the source, one intermediate and the destination router each
+    // forward the message, and switch 1 or 2 stays idle.
+    ASSERT_EQ(net.numRouters(), 4);
+    net.ni(0).injectMessage(simpleMessage(0, 15));
+    simulator.runToCompletion();
+
+    std::uint64_t forwarded = 0;
+    std::uint64_t routed = 0;
     for (int r = 0; r < 4; ++r) {
-        EXPECT_FALSE(std::isnan(registry.lookup(
-            "router" + std::to_string(r) + ".flits_forwarded")))
-            << "router " << r << " missing from the registry";
+        forwarded += net.router(r).flitsForwarded();
+        routed += net.router(r).headersRouted();
     }
+    EXPECT_EQ(net.router(0).flitsForwarded(), 5u);
+    EXPECT_EQ(net.router(3).flitsForwarded(), 5u);
+    EXPECT_EQ(forwarded, 15u);
+    EXPECT_EQ(routed, 3u);
+    EXPECT_EQ(linkFlits(net, "inj0"), 5u);
+    EXPECT_EQ(linkFlits(net, "ej15"), 5u);
 }
 
 TEST(LargerMesh, ThreeByThreeThinMeshDelivers)

@@ -192,7 +192,9 @@ main(int argc, char** argv)
                    &pcs_mode);
     parser.addFlag("csv", "emit CSV rows instead of a report",
                    &csv);
-    parser.addFlag("stats", "dump the full component stat registry",
+    parser.addFlag("stats",
+                   "print frame, flit, elided-wakeup and idle-tick "
+                   "counters",
                    &dump_stats);
     parser.addFlag("telemetry",
                    "collect per-stream sliding-window QoS telemetry "
@@ -462,8 +464,6 @@ main(int argc, char** argv)
                     r.truncated ? " [TRUNCATED]" : "");
 
         if (dump_stats) {
-            // Re-run with a registry attached would double the cost;
-            // instead report the aggregate counters we already have.
             std::printf("\nframes delivered: %llu\nflits delivered: "
                         "%llu\n",
                         static_cast<unsigned long long>(
